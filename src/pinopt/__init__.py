@@ -10,6 +10,7 @@ network to validate the spectral criterion.
 
 from .graphs import (
     Graph,
+    GraphContext,
     GroundedLaplacian,
     boundary_weights,
     build_graph,
@@ -36,6 +37,7 @@ from .bounds import (
     bound_report,
     boundary_bounds,
     feedback_gain_bound,
+    grounded_bounds,
     necessary_lambda2,
     upper_by_min_degree,
     upper_by_spectrum,

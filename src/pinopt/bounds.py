@@ -20,14 +20,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, ground, laplacian, pin_set
-from .spectra import eig_sym, lambda1 as _lambda1
+from .graphs import Graph, GroundedLaplacian, ground, pin_set
+from .spectra import eig_sym
 
 __all__ = [
     "BoundReport",
     "upper_by_spectrum",
     "upper_by_min_degree",
     "boundary_bounds",
+    "grounded_bounds",
     "upper_single_pin",
     "necessary_lambda2",
     "feedback_gain_bound",
@@ -43,13 +44,12 @@ def upper_by_spectrum(g: Graph, l: int) -> float:
     """
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
-    return float(eig_sym(laplacian(g))[l])
+    return float(g.context.spectrum[l])
 
 
 def upper_by_min_degree(g: Graph, s: Iterable[int]) -> float:
     """Minimum degree among uncontrolled nodes; lambda1 never exceeds it."""
-    pins = set(pin_set(g, s))
-    return float(min(int(g.degrees[v]) for v in range(g.n) if v not in pins))
+    return float(g.degrees[g.context.keep(pin_set(g, s))].min())
 
 
 def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
@@ -57,8 +57,16 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
 
     The min is a lower bound on lambda1, the mean an upper bound.
     """
-    w = ground(g, s).weights
+    ctx = g.context
+    w = ctx.boundary_weights(ctx.keep(pin_set(g, s)))
     return float(w.min()), float(w.mean())
+
+
+def grounded_bounds(g: Graph, grounded: GroundedLaplacian) -> tuple[float, float, float]:
+    """(min boundary weight, min uncontrolled degree, mean boundary weight)
+    of one grounding of g: the pin-set-dependent bounds, taken together."""
+    w = grounded.weights
+    return float(w.min()), float(g.degrees[grounded.keep].min()), float(w.mean())
 
 
 def upper_single_pin(g: Graph, i: int) -> float:
@@ -80,7 +88,7 @@ def necessary_lambda2(g: Graph, alpha_over_c: float) -> bool:
     If it does not, no single pinned node can satisfy the criterion
     lambda1 > alpha/c; this is necessary for l=1, not sufficient.
     """
-    return bool(eig_sym(laplacian(g))[1] > alpha_over_c)
+    return bool(g.context.spectrum[1] > alpha_over_c)
 
 
 def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> float:
@@ -97,12 +105,12 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
         raise ValueError(f"coupling strength must be positive, got c={c}")
     pins = pin_set(g, s)
     grounded = ground(g, pins)
-    if c * _lambda1(grounded.matrix) <= alpha:
+    if c * grounded.lambda1 <= alpha:
         raise ValueError(
             "gain bound needs c * lambda1(grounded) > alpha; "
-            f"got c*lambda1={c * _lambda1(grounded.matrix):.6g} vs alpha={alpha:.6g}"
+            f"got c*lambda1={c * grounded.lambda1:.6g} vs alpha={alpha:.6g}"
         )
-    lap = laplacian(g)
+    lap = g.context.laplacian
     p = np.array(pins, dtype=np.int64)
     r = np.array(grounded.retained, dtype=np.int64)
     l_pp = lap[np.ix_(p, p)]
@@ -140,13 +148,16 @@ class BoundReport:
 def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) -> BoundReport:
     """Evaluate lambda1 and every applicable bound for one pin set."""
     pins = pin_set(g, s)
-    lam = _lambda1(ground(g, pins).matrix)
-    lo, avg = boundary_bounds(g, pins)
+    # the full spectrum first: its eigensolve then never overlaps the grounded matrix in memory
+    upper_spec = upper_by_spectrum(g, len(pins))
+    grounded = ground(g, pins)
+    lam = grounded.lambda1
+    lo, kmin, avg = grounded_bounds(g, grounded)
     return BoundReport(
         lambda1=lam,
         lower_min_boundary=lo,
-        upper_spectrum=upper_by_spectrum(g, len(pins)),
-        upper_kmin=upper_by_min_degree(g, pins),
+        upper_spectrum=upper_spec,
+        upper_kmin=kmin,
         upper_avg_boundary=avg,
         upper_single_pin=upper_single_pin(g, pins[0]) if len(pins) == 1 else None,
         alpha_over_c=alpha_over_c,

@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -18,7 +19,6 @@ from . import generators as gen_mod
 from . import strategies as strat_mod
 from . import sync as sync_mod
 from .graphs import EdgeListError, Graph, format_edge_list, ground, parse_edge_list
-from .spectra import lambda1
 
 __all__ = ["main", "sweep_rows", "SWEEP_COLUMNS"]
 
@@ -34,6 +34,17 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage errors to 1
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _read_graph(path: str) -> Graph:
@@ -176,9 +187,26 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _pin_bound_values(g: Graph, pins) -> tuple[float, float, float]:
-    lo, avg = bounds_mod.boundary_bounds(g, pins)
-    return bounds_mod.upper_by_min_degree(g, pins), avg, lo
+def _sweep_pin_sets(g: Graph, strategy: str, l: int, q: float | None, runs: int, seed: int,
+                    budget: int) -> list[tuple[int, ...]]:
+    """The pin sets one sweep cell averages over: one per tie-breaking run
+    for degree_mix, the selected set for the other strategies."""
+    if strategy == "degree_mix":
+        return [strat_mod.degree_mix_pins(g, l, q, seed, r) for r in range(runs)]
+    if strategy == "betweenness":
+        return [strat_mod.select_betweenness(g, l).pin_set]
+    if strategy == "greedy":
+        return [strat_mod.greedy_max_lambda1(g, l).pin_set]
+    if strategy == "brute_force":
+        return [strat_mod.brute_force_max_lambda1(g, l, budget=budget).pin_set]
+    raise UsageError(f"unknown sweep strategy {strategy!r}")
+
+
+def _pin_set_columns(g: Graph, pins) -> tuple[float, float, float, float]:
+    """lambda1 and the (lower, kmin, avg) bounds, all from one grounding,
+    which is freed on return so that no two grounded matrices coexist."""
+    grounded = ground(g, pins)
+    return (grounded.lambda1, *bounds_mod.grounded_bounds(g, grounded))
 
 
 def sweep_rows(
@@ -196,49 +224,28 @@ def sweep_rows(
     lower_min_boundary <= lambda1_mean <= each upper column."""
     rows: list[dict] = []
     q_list: list[float | None] = list(qs) if strategy == "degree_mix" else [None]
-    if strategy == "degree_mix" and not q_list:
-        raise UsageError("sweep degree_mix: --q is required")
+    if strategy == "degree_mix":
+        if not q_list:
+            raise UsageError("sweep degree_mix: --q is required")
+        if runs < 1:
+            raise ValueError(f"need runs >= 1, got runs={runs}")
     for l in ls:
         upper_spec = bounds_mod.upper_by_spectrum(g, l)
         brute_val: float | None = None
         if with_brute:
             brute_val = strat_mod.brute_force_max_lambda1(g, l, budget=budget).lambda1
         for q in q_list:
-            if strategy == "degree_mix":
-                lams, kmins, avgs, los = [], [], [], []
-                for r in range(runs):
-                    pins = strat_mod.degree_mix_pins(g, l, q, seed, r)
-                    lams.append(lambda1(ground(g, pins).matrix))
-                    kmin_r, avg_r, lo_r = _pin_bound_values(g, pins)
-                    kmins.append(kmin_r)
-                    avgs.append(avg_r)
-                    los.append(lo_r)
-                lam_mean = float(np.mean(lams))
-                lam_std = float(np.std(lams))
-                kmin, avg, lo = float(np.mean(kmins)), float(np.mean(avgs)), float(np.mean(los))
-            elif strategy == "betweenness":
-                res = strat_mod.select_betweenness(g, l)
-                lam_mean, lam_std = res.lambda1, 0.0
-                kmin, avg, lo = _pin_bound_values(g, res.pin_set)
-            elif strategy == "greedy":
-                res = strat_mod.greedy_max_lambda1(g, l)
-                lam_mean, lam_std = res.lambda1, 0.0
-                kmin, avg, lo = _pin_bound_values(g, res.pin_set)
-            elif strategy == "brute_force":
-                res = strat_mod.brute_force_max_lambda1(g, l, budget=budget)
-                lam_mean, lam_std = res.lambda1, 0.0
-                kmin, avg, lo = _pin_bound_values(g, res.pin_set)
-            else:
-                raise UsageError(f"unknown sweep strategy {strategy!r}")
+            pin_sets = _sweep_pin_sets(g, strategy, l, q, runs, seed, budget)
+            lams, los, kmins, avgs = zip(*(_pin_set_columns(g, pins) for pins in pin_sets))
             row = {
                 "l": l,
                 "q": q,
-                "lambda1_mean": lam_mean,
-                "lambda1_std": lam_std,
+                "lambda1_mean": float(np.mean(lams)),
+                "lambda1_std": float(np.std(lams)),
                 "upper_spectrum": upper_spec,
-                "upper_kmin": kmin,
-                "upper_avg_boundary": avg,
-                "lower_min_boundary": lo,
+                "upper_kmin": float(np.mean(kmins)),
+                "upper_avg_boundary": float(np.mean(avgs)),
+                "lower_min_boundary": float(np.mean(los)),
             }
             if with_brute:
                 row["lambda1_brute"] = brute_val
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("graph")
     p_an.add_argument("--pins", default=None, help="comma-separated node ids")
     p_an.add_argument("--pins-file", default=None, help="file of whitespace-separated node ids")
-    p_an.add_argument("--alpha-over-c", type=float, default=None)
+    p_an.add_argument("--alpha-over-c", type=_finite_float, default=None)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sel = sub.add_parser("select", help="pick a pin set with one strategy")

@@ -3,18 +3,38 @@
 Graphs are simple and unweighted, with nodes 0..n-1 and a dense numpy
 representation throughout; everything here targets networks of up to a
 few thousand nodes, where dense linear algebra is the fast path.
+
+Per-graph quantities live in one :class:`GraphContext`, reached as
+``g.context``: the degrees, the Laplacian and the full Laplacian
+spectrum, each computed on first use and then kept, and one
+:class:`GroundedLaplacian` per pin set. The ``(g, pins)`` functions
+here and in ``bounds`` and ``strategies`` go through it, so a caller
+that grounds many pin sets of one graph builds the Laplacian and its
+spectrum once. Two rules keep the output byte-identical to a
+from-scratch build:
+
+- The Laplacian's zero off-diagonal entries are ``-0.0``, as negating
+  the adjacency matrix gives. LAPACK's Householder reflections see the
+  sign of zero, so a ``+0.0`` build changes the last digits of
+  eigenvalues.
+- Boundary weights are int64 counts, never float sums of Laplacian
+  entries: a float sum of ``-0.0`` terms is ``-0.0`` and would print
+  that way in JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .spectra import eig_sym
+
 __all__ = [
     "Graph",
+    "GraphContext",
     "GroundedLaplacian",
     "build_graph",
     "laplacian",
@@ -71,6 +91,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def context(self) -> GraphContext:
+        """Cached Laplacian, spectrum and groundings of this graph."""
+        return GraphContext(self)
+
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
@@ -92,10 +117,11 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A as a dense float array."""
-    lap = -g.adjacency.copy()
-    lap[np.diag_indices(g.n)] = g.degrees.astype(np.float64)
-    return lap
+    """Combinatorial Laplacian L = D - A as a dense float array.
+
+    A fresh, writable copy of ``g.context.laplacian``.
+    """
+    return g.context.laplacian.copy()
 
 
 def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -114,33 +140,95 @@ def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     return tuple(s)
 
 
+class GraphContext:
+    """Per-graph quantities, each computed on first use and then kept.
+
+    Holds the degrees and edge array of one graph, its Laplacian and
+    full spectrum (both read-only), and grounds pin sets against them.
+    It keeps no reference to the graph itself, so the pair is freed by
+    reference counting alone, with no cycle left for the collector.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.degrees = g.degrees
+        self.edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """L = D - A; zero off-diagonal entries are -0.0 (see the module notes)."""
+        u, v = self.edges.T
+        lap = np.full((self.n, self.n), -0.0)
+        lap[u, v] = -1.0
+        lap[v, u] = -1.0
+        lap[np.diag_indices(self.n)] = self.degrees.astype(np.float64)
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """All Laplacian eigenvalues, ascending."""
+        vals = eig_sym(self.laplacian)
+        vals.flags.writeable = False
+        return vals
+
+    def keep(self, pins: Iterable[int]) -> np.ndarray:
+        """Boolean mask of the nodes not in `pins` (valid node ids)."""
+        keep = np.ones(self.n, dtype=bool)
+        keep[list(pins)] = False
+        return keep
+
+    def ground(self, pins: Iterable[int]) -> GroundedLaplacian:
+        """Delete the rows and columns of `pins` (valid node ids)."""
+        keep = self.keep(pins)
+        idx = np.flatnonzero(keep)
+        return GroundedLaplacian(self.laplacian[np.ix_(idx, idx)], keep, self)
+
+    def boundary_weights(self, keep: np.ndarray) -> np.ndarray:
+        """Pinned-neighbor counts (int64) of the nodes that `keep` marks, ascending id."""
+        pinned = ~keep
+        u, v = self.edges.T
+        w = np.bincount(v[pinned[u]], minlength=self.n) + np.bincount(u[pinned[v]], minlength=self.n)
+        return w[keep].astype(np.int64)
+
+
 @dataclass(frozen=True)
 class GroundedLaplacian:
     """Principal submatrix of the Laplacian after deleting pinned rows/cols.
 
-    `retained` lists the surviving original node ids in ascending order;
-    row/col i of `matrix` corresponds to retained[i]. `weights[i]` counts
-    the pinned neighbors of retained[i]; the matrix equals the Laplacian
-    of the induced uncontrolled subgraph plus diag(weights).
+    `keep` marks the surviving (uncontrolled) nodes among all n;
+    `retained` lists their original ids in ascending order, and row/col
+    i of `matrix` corresponds to retained[i]. `weights[i]` counts the
+    pinned neighbors of retained[i]; the matrix equals the Laplacian of
+    the induced uncontrolled subgraph plus diag(weights). The weights
+    and the smallest eigenvalue are computed on first use.
     """
 
     matrix: np.ndarray
-    retained: tuple[int, ...]
-    weights: np.ndarray
+    keep: np.ndarray
+    context: GraphContext = field(repr=False, compare=False)
+
+    @cached_property
+    def retained(self) -> tuple[int, ...]:
+        return tuple(int(v) for v in np.flatnonzero(self.keep))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.context.boundary_weights(self.keep)
+
+    @cached_property
+    def lambda1(self) -> float:
+        """Smallest eigenvalue of `matrix`."""
+        return float(eig_sym(self.matrix)[0])
 
     @property
     def size(self) -> int:
-        return len(self.retained)
+        return self.matrix.shape[0]
 
 
 def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:
     """Delete the rows and columns of the pinned nodes from laplacian(g)."""
-    pins = pin_set(g, s)
-    keep = np.array([v for v in range(g.n) if v not in set(pins)], dtype=np.int64)
-    lap = laplacian(g)
-    sub = lap[np.ix_(keep, keep)]
-    w = boundary_weights(g, pins)
-    return GroundedLaplacian(matrix=sub, retained=tuple(int(v) for v in keep), weights=w)
+    return g.context.ground(pin_set(g, s))
 
 
 def boundary_weights(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -148,13 +236,8 @@ def boundary_weights(g: Graph, s: Iterable[int]) -> np.ndarray:
 
     Ordered like GroundedLaplacian.retained (ascending original id).
     """
-    pins = set(pin_set(g, s))
-    out = []
-    for v in range(g.n):
-        if v in pins:
-            continue
-        out.append(sum(1 for u in g.neighbors[v] if u in pins))
-    return np.array(out, dtype=np.int64)
+    ctx = g.context
+    return ctx.boundary_weights(ctx.keep(pin_set(g, s)))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, laplacian
-from .spectra import eig_sym
+from .graphs import Graph
 
 __all__ = [
     "BudgetError",
@@ -77,11 +76,6 @@ class SelectionResult:
         return json.dumps(d)
 
 
-def _grounded_lambda1(lap: np.ndarray, pins) -> float:
-    keep = np.array([v for v in range(lap.shape[0]) if v not in set(pins)], dtype=np.int64)
-    return float(eig_sym(lap[np.ix_(keep, keep)])[0])
-
-
 def _check_l(g: Graph, l: int) -> None:
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
@@ -118,14 +112,13 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     """
     if cfg.q is None:
         raise ValueError("degree mix needs q in [0, 1]")
-    lap = laplacian(g)
     runs: list[float] = []
     first: tuple[int, ...] | None = None
     for r in range(cfg.runs):
         pins = degree_mix_pins(g, cfg.l, cfg.q, cfg.seed, r)
         if first is None:
             first = pins
-        runs.append(_grounded_lambda1(lap, pins))
+        runs.append(g.context.ground(pins).lambda1)
     assert first is not None
     return SelectionResult(
         strategy="degree_mix",
@@ -186,7 +179,7 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     bc = betweenness_centrality(g)
     order = np.lexsort((np.arange(g.n), -bc))
     pins = tuple(sorted(int(v) for v in order[:l]))
-    lam = _grounded_lambda1(laplacian(g), pins)
+    lam = g.context.ground(pins).lambda1
     return SelectionResult(
         strategy="betweenness",
         l=l,
@@ -270,7 +263,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
             active -= removed
         if len(pins) < g.n:
             sel = tuple(sorted(pins))
-            lam = _grounded_lambda1(laplacian(g), sel)
+            lam = g.context.ground(sel).lambda1
             return SelectionResult(
                 strategy="dominating_partition",
                 l=len(sel),
@@ -298,7 +291,7 @@ def brute_force_max_lambda1(
         raise BudgetError(
             f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}"
         )
-    lap = laplacian(g)
+    lap = g.context.laplacian
     all_idx = np.arange(g.n)
     best_val = -np.inf
     best: tuple[int, ...] | None = None
@@ -330,19 +323,19 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     search: never better, often close.
     """
     _check_l(g, l)
-    lap = laplacian(g)
+    ctx = g.context
     current: list[int] = []
     for _ in range(l):
         best_v, best_val = -1, -np.inf
         for v in range(g.n):
             if v in current:
                 continue
-            val = _grounded_lambda1(lap, current + [v])
+            val = ctx.ground(current + [v]).lambda1
             if val > best_val:
                 best_val, best_v = val, v
         current.append(best_v)
     pins = tuple(sorted(current))
-    lam = _grounded_lambda1(lap, pins)
+    lam = ctx.ground(pins).lambda1
     return SelectionResult(
         strategy="greedy",
         l=l,

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinopt
 from pinopt.cli import SWEEP_COLUMNS, main
 
 
@@ -229,3 +231,52 @@ def test_main_in_process_exit_codes(tmp_path, capsys):
     assert main(["gen", "--family", "star", "--n", "6", "--out", str(path)]) == 0
     assert main(["analyze", str(path), "--pins", "0"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_rejects_zero_runs_like_select(double_star_file):
+    for argv in (["sweep", str(double_star_file), "--strategy", "degree_mix",
+                  "--l-range", "1:3", "--q", "0.5", "--runs", "0"],
+                 ["select", str(double_star_file), "--strategy", "degree_mix",
+                  "--l", "2", "--q", "0.5", "--runs", "0"]):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "need runs >= 1" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_analyze_rejects_non_finite_alpha_over_c(double_star_file, value):
+    res = run_cli("analyze", str(double_star_file), "--pins", "1,7", f"--alpha-over-c={value}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "finite" in res.stderr
+
+
+# ------------------------------------------------- recorded byte-identical output
+
+DATA = Path(__file__).parent / "data"
+DOLPHINS = Path(pinopt.__file__).parent / "data" / "dolphins.txt"
+
+
+@pytest.fixture(scope="module")
+def ba200_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ba200") / "ba200.txt"
+    res = run_cli("gen", "--family", "ba", "--n", "200", "--m0", "5", "--m", "3",
+                  "--seed", "11", "--out", str(path))
+    assert res.returncode == 0, res.stderr
+    return path
+
+
+@pytest.mark.parametrize("recorded, argv", [
+    ("sweep_ba200_degree_mix.csv", ["sweep", "{ba200}", "--strategy", "degree_mix",
+                                    "--l-range", "20:180:80", "--q", "0,0.5,1",
+                                    "--runs", "3", "--seed", "5"]),
+    ("select_dolphins_greedy.json", ["select", str(DOLPHINS), "--strategy", "greedy", "--l", "3"]),
+    ("analyze_ba200.json", ["analyze", "{ba200}", "--pins", "0,3,17,42,99,150",
+                            "--alpha-over-c", "0.35"]),
+])
+def test_stdout_matches_recorded_bytes(ba200_file, recorded, argv):
+    argv = [a.format(ba200=ba200_file) for a in argv]
+    res = subprocess.run([sys.executable, "-m", "pinopt", *argv], capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (DATA / recorded).read_bytes()
