@@ -404,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pins", default=None)
     p_sim.add_argument("--pins-file", default=None)
     p_sim.add_argument("--dynamics", required=True, choices=["linear_unstable", "chua"])
-    p_sim.add_argument("--a", type=float, default=1.0, help="growth rate (linear_unstable)")
+    p_sim.add_argument("--a", type=_finite_float, default=1.0, help="growth rate (linear_unstable)")
     p_sim.add_argument("--controller", required=True, choices=["adaptive", "linear"])
-    p_sim.add_argument("--c", type=float, required=True, help="coupling strength")
-    p_sim.add_argument("--h", type=float, default=1.0, help="adaptation rate")
-    p_sim.add_argument("--d", type=float, default=0.0, help="constant gain (linear controller)")
-    p_sim.add_argument("--dt", type=float, default=1e-3)
-    p_sim.add_argument("--T", dest="t_end", type=float, default=50.0)
+    p_sim.add_argument("--c", type=_finite_float, required=True, help="coupling strength")
+    p_sim.add_argument("--h", type=_finite_float, default=1.0, help="adaptation rate")
+    p_sim.add_argument("--d", type=_finite_float, default=0.0, help="constant gain (linear controller)")
+    p_sim.add_argument("--dt", type=_finite_float, default=1e-3, help="RK4 step, at most --T")
+    p_sim.add_argument("--T", dest="t_end", type=_finite_float, default=50.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--record-every", type=int, default=10)
     p_sim.add_argument("--out-csv", default=None, help="write the error/gain time series here")

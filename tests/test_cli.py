@@ -219,6 +219,24 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert first.returncode == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--c", "nan"], "argument --c: must be finite"),
+    (["--c", "inf"], "argument --c: must be finite"),
+    (["--c", "1.0", "--a", "nan"], "argument --a: must be finite"),
+    (["--c", "1.0", "--d", "nan"], "argument --d: must be finite"),
+    (["--c", "1.0", "--dt", "inf"], "argument --dt: must be finite"),
+    (["--c", "1.0", "--T", "nan"], "argument --T: must be finite"),
+    (["--c", "1.0", "--dt", "2", "--T", "1"], "dt must not exceed t_end"),
+])
+def test_simulate_rejects_non_finite_flags_and_dt_past_t_end(double_star_file, flags, message):
+    res = run_cli("simulate", str(double_star_file), "--pins", "1", "--dynamics", "linear_unstable",
+                  "--controller", "linear", *flags)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------- entry point
 
 
@@ -280,3 +298,31 @@ def test_stdout_matches_recorded_bytes(ba200_file, recorded, argv):
     res = subprocess.run([sys.executable, "-m", "pinopt", *argv], capture_output=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == (DATA / recorded).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def nw14_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("nw14") / "nw14.txt"
+    res = run_cli("gen", "--family", "nw", "--n", "14", "--K", "2", "--p", "0.2",
+                  "--seed", "4", "--out", str(path))
+    assert res.returncode == 0, res.stderr
+    return path
+
+
+@pytest.mark.parametrize("recorded, argv", [
+    ("simulate_nw14_chua_adaptive", ["--pins", "0,5,9", "--dynamics", "chua",
+                                     "--controller", "adaptive", "--c", "4.0", "--h", "3.0",
+                                     "--dt", "0.001", "--T", "1.5", "--seed", "3",
+                                     "--record-every", "50"]),
+    ("simulate_nw14_linear_adaptive", ["--pins", "2,7", "--dynamics", "linear_unstable",
+                                       "--a", "0.6", "--controller", "adaptive", "--c", "1.2",
+                                       "--h", "2.0", "--dt", "0.002", "--T", "3", "--seed", "8",
+                                       "--record-every", "25"]),
+])
+def test_simulate_matches_recorded_bytes(nw14_file, tmp_path, recorded, argv):
+    csv_path = tmp_path / "run.csv"
+    res = subprocess.run([sys.executable, "-m", "pinopt", "simulate", str(nw14_file), *argv,
+                          "--out-csv", str(csv_path)], capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (DATA / f"{recorded}.json").read_bytes()
+    assert csv_path.read_bytes() == (DATA / f"{recorded}.csv").read_bytes()

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import rand_connected
+from conftest import rand_connected, rand_pins
 from pinopt.generators import gen_complete, gen_path, gen_star
 from pinopt.graphs import ground, laplacian
 from pinopt.spectra import lambda1
@@ -113,6 +114,12 @@ def test_sim_config_validation():
         SimConfig(controller="linear", c=0.0)
     with pytest.raises(ValueError):
         SimConfig(controller="linear", c=1.0, dt=-1.0)
+    with pytest.raises(ValueError, match="dt must not exceed t_end"):
+        SimConfig(controller="linear", c=1.0, dt=2.0, t_end=1.0)
+    for name in ("c", "h", "d", "dt", "t_end"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimConfig(controller="linear", **{"c": 1.0, name: bad})
     g = gen_path(3)
     with pytest.raises(ValueError, match="s0"):
         simulate(g, [0], linear_unstable(0.1), SimConfig(controller="linear", c=1.0, s0=np.zeros(2), t_end=0.01))
@@ -184,3 +191,49 @@ def test_chua_trajectory_stays_bounded_briefly():
     res = simulate(g, [0], dyn, cfg)
     assert res.blowup_time is None
     assert np.all(np.isfinite(res.error_norms))
+
+
+def test_linear_propagator_matches_stage_by_stage_rk4():
+    # the exact propagator against the generic RK4 stage, forced by clearing linear_rate;
+    # every fourth tuple starts the reference off zero, so its row of the propagator counts
+    rng = np.random.default_rng(54)
+    calls = []
+
+    def counted(f):
+        def wrapped(x):
+            calls.append(1)
+            return f(x)
+        return wrapped
+
+    outcomes = {"blowup": 0, "converged": 0, "neither": 0}
+    for t in range(32):
+        n = int(rng.integers(3, 13))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
+        pins = rand_pins(rng, n, int(rng.integers(1, n)))
+        a = float(rng.uniform(0.1, 1.2))
+        dyn = linear_unstable(a)
+        dyn = dataclasses.replace(dyn, f=counted(dyn.f))
+        cfg = SimConfig(controller="linear", c=float(rng.uniform(0.2, 4.0)),
+                        d=float(rng.uniform(0.0, 6.0)), dt=float(rng.choice([0.01, 0.05, 0.4])),
+                        t_end=float(rng.choice([2.0, 40.0, 40.0])), seed=t,
+                        record_every=int(rng.integers(1, 12)),
+                        s0=np.array([rng.uniform(-1.0, 1.0) if t % 4 == 0 else 0.0]))
+        calls.clear()
+        fast = simulate(g, pins, dyn, cfg)
+        assert not calls, "the linear run should not evaluate f"
+        slow = simulate(g, pins, dataclasses.replace(dyn, linear_rate=None), cfg)
+        assert calls
+        assert np.array_equal(fast.times, slow.times)
+        assert fast.converged == slow.converged
+        assert fast.blowup_time == slow.blowup_time
+        assert fast.error_norms.shape == slow.error_norms.shape
+        # an error x_i - s is a difference of states, so with the reference off zero its
+        # rounding scales with |s(t)| too; with s0 = 0 the scale is the row's largest error
+        h = a * cfg.dt
+        growth = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24  # one RK4 step of s' = a*s
+        ref = abs(cfg.s0[0]) * growth ** np.round(slow.times / cfg.dt)
+        scale = slow.error_norms.max(axis=1) + ref
+        assert np.all(np.abs(fast.error_norms - slow.error_norms) <= 1e-12 * scale[:, None])
+        outcomes["blowup" if slow.blowup_time is not None
+                 else "converged" if slow.converged else "neither"] += 1
+    assert min(outcomes.values()) >= 3, outcomes
