@@ -101,7 +101,7 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     pinned block. The inner inverse is applied through a dense solve;
     no matrix inverse is formed.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"coupling strength must be positive, got c={c}")
     pins = pin_set(g, s)
     grounded = ground(g, pins)

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import generators as gen_mod
 from . import strategies as strat_mod
 from . import sync as sync_mod
-from .graphs import EdgeListError, Graph, format_edge_list, ground, parse_edge_list
+from .graphs import EdgeListError, Graph, format_edge_list, ground, parse_edge_list, pin_set
 
 __all__ = ["main", "sweep_rows", "SWEEP_COLUMNS"]
 
@@ -47,14 +47,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _read_graph(path: str) -> Graph:
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy's seeding requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _read_text(path: str) -> str:
+    """The file's text; a file that cannot be read or is not UTF-8 is a data error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_graph(path: str) -> Graph:
     try:
-        return parse_edge_list(text)
+        return parse_edge_list(_read_text(path))
     except EdgeListError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -68,18 +83,12 @@ def _parse_pins(args, g: Graph) -> tuple[int, ...]:
         except ValueError:
             raise UsageError(f"--pins must be comma-separated integers, got {args.pins!r}") from None
     else:
-        try:
-            with open(args.pins_file, "r", encoding="utf-8") as fh:
-                toks = [t for line in fh for t in line.split("#", 1)[0].split()]
-        except OSError as exc:
-            raise DataError(f"cannot read {args.pins_file}: {exc}") from None
-        try:
-            ids = [int(t) for t in toks]
+        text = _read_text(args.pins_file)
+        try:  # split("\n") gives the lines file iteration gives; splitlines() also breaks at \x85
+            ids = [int(t) for line in text.split("\n") for t in line.split("#", 1)[0].split()]
         except ValueError:
             raise DataError(f"{args.pins_file}: pin ids must be integers") from None
     try:
-        from .graphs import pin_set
-
         return pin_set(g, ids)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -93,41 +102,43 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _flag_values(args, command: str, flags) -> list:
+    """The values of `flags` in order; a flag left at None was not given."""
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise UsageError(f"{command}: --{flag} is required")
+    return values
+
+
+# One table per CLI concept; its keys are the argparse choices. Entries look
+# their function up on the module when called, never holding it, so that a
+# function rebound there (as a tracing harness does) is the one called.
+
+
 # -- gen ---------------------------------------------------------------------
+
+# The flags of each generators.gen_<family>, in its parameter order.
+GEN_FLAGS = {
+    "star": ("n",),
+    "double_star": ("k",),
+    "complete": ("n",),
+    "path": ("n",),
+    "ba": ("n", "m0", "m", "seed"),
+    "nw": ("n", "K", "p", "seed"),
+    "erdos_renyi": ("n", "p", "seed"),
+}
+
 
 def cmd_gen(args) -> int:
     fam = args.family
+    values = _flag_values(args, f"gen {fam}", GEN_FLAGS[fam])
     try:
-        if fam == "star":
-            g = gen_mod.gen_star(args.n)
-        elif fam == "double_star":
-            g = gen_mod.gen_double_star(args.k)
-        elif fam == "complete":
-            g = gen_mod.gen_complete(args.n)
-        elif fam == "path":
-            g = gen_mod.gen_path(args.n)
-        elif fam == "ba":
-            g = gen_mod.gen_ba(args.n, args.m0, args.m, args.seed)
-        elif fam == "nw":
-            g = gen_mod.gen_nw(args.n, args.lattice_k, args.p, args.seed)
-        elif fam == "erdos_renyi":
-            g = gen_mod.gen_erdos_renyi(args.n, args.p, args.seed)
-        else:  # pragma: no cover - argparse choices guard this
-            raise UsageError(f"unknown family {fam!r}")
+        g = getattr(gen_mod, f"gen_{fam}")(*values)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"gen {fam}: {exc}") from None
     _write_out(format_edge_list(g), args.out)
     return 0
-
-
-_FLAG_NAMES = {"lattice_k": "--K"}
-
-
-def _require(args, names: list[str], fam: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            flag = _FLAG_NAMES.get(name, f"--{name.replace('_', '-')}")
-            raise UsageError(f"gen {fam}: {flag} is required")
 
 
 # -- analyze -----------------------------------------------------------------
@@ -142,35 +153,29 @@ def cmd_analyze(args) -> int:
 
 # -- select ------------------------------------------------------------------
 
+# Each strategy: the select flags it needs, checked in this order, and
+# its call (g, l, q, seed, runs, budget) -> SelectionResult.
+STRATEGIES = {
+    "degree_mix": (("q", "l"), lambda g, l, q, seed, runs, budget: strat_mod.select_degree_mix(
+        g, strat_mod.StrategyConfig(l=l, q=q, seed=seed, runs=runs))),
+    "betweenness": (("l",), lambda g, l, *_: strat_mod.select_betweenness(g, l)),
+    "greedy": (("l",), lambda g, l, *_: strat_mod.greedy_max_lambda1(g, l)),
+    "brute_force": (("l",), lambda g, l, q, seed, runs, budget: strat_mod.brute_force_max_lambda1(
+        g, l, budget=budget)),
+    "dominating": ((), lambda g, l, q, seed, *_: strat_mod.dominating_partition(g, seed=seed)),
+}
+
+
 def cmd_select(args) -> int:
     g = _read_graph(args.graph)
-    strat = args.strategy
+    needs, call = STRATEGIES[args.strategy]
+    _flag_values(args, f"select {args.strategy}", needs)
     try:
-        if strat == "degree_mix":
-            if args.q is None:
-                raise UsageError("select degree_mix: --q is required")
-            cfg = strat_mod.StrategyConfig(l=_need_l(args), q=args.q, seed=args.seed, runs=args.runs)
-            res = strat_mod.select_degree_mix(g, cfg)
-        elif strat == "betweenness":
-            res = strat_mod.select_betweenness(g, _need_l(args))
-        elif strat == "greedy":
-            res = strat_mod.greedy_max_lambda1(g, _need_l(args))
-        elif strat == "brute_force":
-            res = strat_mod.brute_force_max_lambda1(g, _need_l(args), budget=args.budget)
-        elif strat == "dominating":
-            res = strat_mod.dominating_partition(g, seed=args.seed)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown strategy {strat!r}")
+        res = call(g, args.l, args.q, args.seed, args.runs, args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sys.stdout.write(res.to_json() + "\n")
     return 0
-
-
-def _need_l(args) -> int:
-    if args.l is None:
-        raise UsageError(f"select {args.strategy}: --l is required")
-    return args.l
 
 
 # -- sweep -------------------------------------------------------------------
@@ -193,13 +198,8 @@ def _sweep_pin_sets(g: Graph, strategy: str, l: int, q: float | None, runs: int,
     for degree_mix, the selected set for the other strategies."""
     if strategy == "degree_mix":
         return [strat_mod.degree_mix_pins(g, l, q, seed, r) for r in range(runs)]
-    if strategy == "betweenness":
-        return [strat_mod.select_betweenness(g, l).pin_set]
-    if strategy == "greedy":
-        return [strat_mod.greedy_max_lambda1(g, l).pin_set]
-    if strategy == "brute_force":
-        return [strat_mod.brute_force_max_lambda1(g, l, budget=budget).pin_set]
-    raise UsageError(f"unknown sweep strategy {strategy!r}")
+    _, call = STRATEGIES[strategy]
+    return [call(g, l, q, seed, runs, budget).pin_set]
 
 
 def _pin_set_columns(g: Graph, pins) -> tuple[float, float, float, float]:
@@ -223,8 +223,9 @@ def sweep_rows(
     tie-breaking runs as lambda1_mean, so every row keeps
     lower_min_boundary <= lambda1_mean <= each upper column."""
     rows: list[dict] = []
-    q_list: list[float | None] = list(qs) if strategy == "degree_mix" else [None]
+    q_list: list[float | None] = [None]
     if strategy == "degree_mix":
+        q_list = [] if qs is None else list(qs)
         if not q_list:
             raise UsageError("sweep degree_mix: --q is required")
         if runs < 1:
@@ -318,15 +319,17 @@ def cmd_sweep(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
+# Each node dynamics, built from the growth rate --a.
+DYNAMICS = {
+    "linear_unstable": lambda a: sync_mod.linear_unstable(a),
+    "chua": lambda a: sync_mod.chua(),
+}
+
+
 def cmd_simulate(args) -> int:
     g = _read_graph(args.graph)
     pins = _parse_pins(args, g)
-    if args.dynamics == "linear_unstable":
-        dyn = sync_mod.linear_unstable(args.a)
-    elif args.dynamics == "chua":
-        dyn = sync_mod.chua()
-    else:  # pragma: no cover
-        raise UsageError(f"unknown dynamics {args.dynamics!r}")
+    dyn = DYNAMICS[args.dynamics](args.a)
     try:
         cfg = sync_mod.SimConfig(
             controller=args.controller,
@@ -354,56 +357,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pinopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a graph and print its edge list")
-    p_gen.add_argument("--family", required=True,
-                       choices=["star", "double_star", "complete", "path", "ba", "nw", "erdos_renyi"])
+    pinned = _Parser(add_help=False)
+    pinned.add_argument("--pins", default=None, help="comma-separated node ids")
+    pinned.add_argument("--pins-file", default=None, help="file of whitespace-separated node ids")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
+    searched = _Parser(add_help=False, parents=[seeded])
+    searched.add_argument("--runs", type=int, default=1)
+    searched.add_argument("--budget", type=int, default=strat_mod.BRUTE_FORCE_BUDGET)
+
+    p_gen = sub.add_parser("gen", parents=[seeded], help="generate a graph and print its edge list")
+    p_gen.add_argument("--family", required=True, choices=GEN_FLAGS)
     p_gen.add_argument("--n", type=int, default=None, help="node count")
     p_gen.add_argument("--k", type=int, default=None, help="leaves per hub (double_star)")
     p_gen.add_argument("--m0", type=int, default=None, help="seed clique size (ba)")
     p_gen.add_argument("--m", type=int, default=None, help="attachments per new node (ba)")
-    p_gen.add_argument("--K", dest="lattice_k", type=int, default=None, help="lattice degree (nw)")
+    p_gen.add_argument("--K", type=int, default=None, help="lattice degree (nw)")
     p_gen.add_argument("--p", type=float, default=None, help="edge/shortcut probability")
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="output file (default stdout)")
-    p_gen.set_defaults(func=_gen_entry)
+    p_gen.set_defaults(func=cmd_gen)
 
-    p_an = sub.add_parser("analyze", help="bounds and lambda1 for one pin set")
+    p_an = sub.add_parser("analyze", parents=[pinned], help="bounds and lambda1 for one pin set")
     p_an.add_argument("graph")
-    p_an.add_argument("--pins", default=None, help="comma-separated node ids")
-    p_an.add_argument("--pins-file", default=None, help="file of whitespace-separated node ids")
     p_an.add_argument("--alpha-over-c", type=_finite_float, default=None)
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sel = sub.add_parser("select", help="pick a pin set with one strategy")
+    p_sel = sub.add_parser("select", parents=[searched], help="pick a pin set with one strategy")
     p_sel.add_argument("graph")
-    p_sel.add_argument("--strategy", required=True,
-                       choices=["degree_mix", "betweenness", "greedy", "brute_force", "dominating"])
+    p_sel.add_argument("--strategy", required=True, choices=STRATEGIES)
     p_sel.add_argument("--l", type=int, default=None)
     p_sel.add_argument("--q", type=float, default=None)
-    p_sel.add_argument("--runs", type=int, default=1)
-    p_sel.add_argument("--seed", type=int, default=0)
-    p_sel.add_argument("--budget", type=int, default=strat_mod.BRUTE_FORCE_BUDGET)
     p_sel.set_defaults(func=cmd_select)
 
-    p_sw = sub.add_parser("sweep", help="lambda1 and bounds across l (and q)")
+    p_sw = sub.add_parser("sweep", parents=[searched], help="lambda1 and bounds across l (and q)")
     p_sw.add_argument("graph")
-    p_sw.add_argument("--strategy", required=True,
-                      choices=["degree_mix", "betweenness", "greedy", "brute_force"])
+    p_sw.add_argument("--strategy", required=True, choices=[s for s in STRATEGIES if s != "dominating"])
     p_sw.add_argument("--l-range", required=True, help="A:B[:STEP] inclusive, or a single l")
     p_sw.add_argument("--q", default=None, help="comma-separated q values (degree_mix)")
-    p_sw.add_argument("--runs", type=int, default=1)
-    p_sw.add_argument("--seed", type=int, default=0)
     p_sw.add_argument("--with-brute-force", action="store_true",
                       help="append an exact-max column (budget applies)")
-    p_sw.add_argument("--budget", type=int, default=strat_mod.BRUTE_FORCE_BUDGET)
     p_sw.add_argument("--out", default=None, help="output file (default stdout)")
     p_sw.set_defaults(func=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="integrate the pinned network")
+    p_sim = sub.add_parser("simulate", parents=[pinned, seeded], help="integrate the pinned network")
     p_sim.add_argument("graph")
-    p_sim.add_argument("--pins", default=None)
-    p_sim.add_argument("--pins-file", default=None)
-    p_sim.add_argument("--dynamics", required=True, choices=["linear_unstable", "chua"])
+    p_sim.add_argument("--dynamics", required=True, choices=DYNAMICS)
     p_sim.add_argument("--a", type=_finite_float, default=1.0, help="growth rate (linear_unstable)")
     p_sim.add_argument("--controller", required=True, choices=["adaptive", "linear"])
     p_sim.add_argument("--c", type=_finite_float, required=True, help="coupling strength")
@@ -411,28 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d", type=_finite_float, default=0.0, help="constant gain (linear controller)")
     p_sim.add_argument("--dt", type=_finite_float, default=1e-3, help="RK4 step, at most --T")
     p_sim.add_argument("--T", dest="t_end", type=_finite_float, default=50.0)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--record-every", type=int, default=10)
     p_sim.add_argument("--out-csv", default=None, help="write the error/gain time series here")
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser
-
-
-_GEN_REQUIRED = {
-    "star": ["n"],
-    "double_star": ["k"],
-    "complete": ["n"],
-    "path": ["n"],
-    "ba": ["n", "m0", "m"],
-    "nw": ["n", "lattice_k", "p"],
-    "erdos_renyi": ["n", "p"],
-}
-
-
-def _gen_entry(args) -> int:
-    _require(args, _GEN_REQUIRED[args.family], args.family)
-    return cmd_gen(args)
 
 
 def main(argv: list[str] | None = None) -> int:

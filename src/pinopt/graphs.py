@@ -260,9 +260,18 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return build_graph(len(kept), edges), tuple(kept)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    seen = np.zeros(g.n, dtype=bool)
+def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list[list[int]]:
+    """Connected components as sorted node lists, ordered by smallest member.
+
+    With `nodes`, the components of the subgraph those nodes induce.
+    """
+    nbrs = g.neighbors
+    # a list, not an array: numpy's scalar indexing is slower per node
+    seen = [False] * g.n
+    if nodes is not None:  # nodes left out count as seen, so no search enters them
+        seen = [True] * g.n
+        for v in nodes:
+            seen[v] = False
     comps: list[list[int]] = []
     for root in range(g.n):
         if seen[root]:
@@ -273,7 +282,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in g.neighbors[v]:
+            for u in nbrs[v]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)

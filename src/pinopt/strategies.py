@@ -10,11 +10,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, connected_components
 
 __all__ = [
     "BudgetError",
@@ -66,13 +66,9 @@ class SelectionResult:
     lambda1_runs: tuple[float, ...]
 
     def to_json(self) -> str:
-        d = {"strategy": self.strategy, "l": self.l}
-        if self.q is not None:
-            d["q"] = self.q
-        d["seed"] = self.seed
-        d["pin_set"] = list(self.pin_set)
-        d["lambda1"] = self.lambda1
-        d["lambda1_runs"] = list(self.lambda1_runs)
+        d = asdict(self)
+        if self.q is None:
+            del d["q"]
         return json.dumps(d)
 
 
@@ -191,28 +187,14 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     )
 
 
-def _partition_sweep(active: set[int], nbrs, rng) -> set[int]:
+def _partition_sweep(g: Graph, active: set[int], rng) -> set[int]:
     """One sweep of the dominating partition: returns the nodes slated
     for the pin set from the current working graph."""
+    nbrs = g.neighbors
     slate: set[int] = set()
-    # connected components of the working graph (singletons are the
-    # isolated nodes and go straight into the slate)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for root in sorted(active):
-        if root in seen:
-            continue
-        stack, comp = [root], []
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in nbrs[v]:
-                if u in active and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    for comp in comps:
+    # the isolated nodes of the working graph, its singleton components,
+    # go straight into the slate
+    for comp in connected_components(g, nodes=active):
         if len(comp) == 1:
             slate.add(comp[0])
             continue
@@ -255,7 +237,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
         active = set(range(g.n))
         pins: set[int] = set()
         while active:
-            slate = _partition_sweep(active, nbrs, rng)
+            slate = _partition_sweep(g, active, rng)
             pins |= slate
             removed = set(slate)
             for v in slate:

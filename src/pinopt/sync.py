@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graphs import Graph, ground, pin_set
-from .spectra import eig_sym, lambda1
+from .spectra import eig_sym
 
 __all__ = [
     "NodeDynamics",
@@ -338,9 +338,9 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
 
 def check_criterion(g: Graph, s: Iterable[int], alpha: float, c: float) -> bool:
     """Sufficient synchronization test: c * lambda1(grounded) > alpha."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"coupling strength must be positive, got c={c}")
-    return bool(c * lambda1(ground(g, s).matrix) > alpha)
+    return bool(c * ground(g, s).lambda1 > alpha)
 
 
 def linear_stability_oracle(g: Graph, s: Iterable[int], a: float, c: float, d: float) -> float:

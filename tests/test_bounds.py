@@ -118,6 +118,11 @@ def test_feedback_gain_bound_preconditions():
         feedback_gain_bound(g, [0], alpha=0.1, c=0.0)
 
 
+def test_feedback_gain_bound_refuses_nan_coupling():
+    with pytest.raises(ValueError, match="coupling strength must be positive"):
+        feedback_gain_bound(gen_path(5), [0], alpha=0.1, c=float("nan"))
+
+
 def test_bound_report_fields():
     g = gen_double_star(5)
     pins = (1, 7)  # both hubs

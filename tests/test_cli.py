@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import pinopt
+from pinopt import generators
 from pinopt.cli import SWEEP_COLUMNS, main
+from pinopt.graphs import format_edge_list
 
 
 def run_cli(*argv, cwd=None):
@@ -52,6 +54,32 @@ def test_gen_usage_errors():
     res = run_cli("gen", "--family", "nw", "--n", "10", "--p", "0.1")
     assert res.returncode == 1
     assert "--K" in res.stderr
+
+
+# (flag, value) per generator parameter, in parameter order; --seed is optional
+GEN_CASES = {
+    "star": [("n", 6)],
+    "double_star": [("k", 3)],
+    "complete": [("n", 5)],
+    "path": [("n", 7)],
+    "ba": [("n", 30), ("m0", 4), ("m", 2), ("seed", 3)],
+    "nw": [("n", 30), ("K", 4), ("p", 0.2), ("seed", 3)],
+    "erdos_renyi": [("n", 30), ("p", 0.3), ("seed", 3)],
+}
+
+
+@pytest.mark.parametrize("family", GEN_CASES)
+def test_gen_family_table_rows(family, capsys):
+    flags = GEN_CASES[family]
+    argv = ["gen", "--family", family] + [a for f, v in flags for a in (f"--{f}", str(v))]
+    assert main(argv) == 0
+    expect = format_edge_list(getattr(generators, f"gen_{family}")(*(v for _, v in flags)))
+    assert capsys.readouterr().out == expect
+    for i, (flag, _) in enumerate(flags):
+        if flag == "seed":
+            continue
+        assert main(argv[:3 + 2 * i] + argv[5 + 2 * i:]) == 1
+        assert capsys.readouterr() == ("", f"error: gen {family}: --{flag} is required\n")
 
 
 def test_gen_deterministic_bytes():
@@ -176,6 +204,14 @@ def test_sweep_usage_errors(double_star_file):
                    "--l-range", "x:y").returncode == 1
 
 
+def test_sweep_degree_mix_without_q_is_a_usage_error(double_star_file):
+    res = run_cli("sweep", str(double_star_file), "--strategy", "degree_mix", "--l-range", "1:5")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error: sweep degree_mix: --q is required" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_sweep_deterministic_bytes(double_star_file):
     argv = ["sweep", str(double_star_file), "--strategy", "degree_mix",
             "--l-range", "1:8:2", "--q", "0.5", "--runs", "6", "--seed", "9"]
@@ -268,6 +304,33 @@ def test_analyze_rejects_non_finite_alpha_over_c(double_star_file, value):
     assert res.returncode == 1
     assert res.stdout == ""
     assert "finite" in res.stderr
+
+
+@pytest.mark.parametrize("which", ["graph", "pins-file"])
+def test_non_utf8_input_is_a_data_error(tmp_path, double_star_file, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"1 7 # caf\xe9\n")
+    graph = bad if which == "graph" else double_star_file
+    res = run_cli("analyze", str(graph), "--pins-file", str(bad))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"cannot read {bad}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "ba", "--n", "10", "--m0", "3", "--m", "2"],
+    ["select", "{ds}", "--strategy", "dominating"],
+    ["sweep", "{ds}", "--strategy", "degree_mix", "--l-range", "1", "--q", "0.5"],
+    ["simulate", "{ds}", "--pins", "1", "--dynamics", "chua", "--controller", "adaptive",
+     "--c", "1.0", "--T", "0.1"],
+])
+def test_negative_seed_is_a_usage_error(double_star_file, argv):
+    res = run_cli(*(a.format(ds=double_star_file) for a in argv), "--seed", "-1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "argument --seed: must be a non-negative integer" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 # ------------------------------------------------- recorded byte-identical output

@@ -114,6 +114,8 @@ def test_connected_components_partition():
     g = build_graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
     comps = connected_components(g)
     assert comps == [[0, 1, 2], [3, 4], [5, 6]]
+    assert connected_components(g, nodes={6, 4, 3, 2, 0}) == [[0], [2], [3, 4], [6]]
+    assert connected_components(g, nodes=set()) == []
     assert not is_connected(g)
     rng = np.random.default_rng(15)
     for _ in range(10):

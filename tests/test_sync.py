@@ -148,6 +148,12 @@ def test_check_criterion_is_the_spectral_test():
         assert not check_criterion(g, pins, c * lam + 1e-6, c)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+def test_check_criterion_refuses_non_positive_coupling(c):
+    with pytest.raises(ValueError, match="coupling strength must be positive"):
+        check_criterion(gen_path(4), [0], 0.1, c)
+
+
 def test_linear_stability_oracle_growth_rate():
     g = gen_path(4)
     pins = (0, 2)
