@@ -10,6 +10,20 @@ lambda1 of the grounded Laplacian is sandwiched:
 where the boundary weight of an uncontrolled node counts its pinned
 neighbors. All bounds here are cheap relative to the grounded
 eigensolve and are reported together for cross-checking.
+
+Two forms serve the pin-set searches as ceilings, so that a candidate
+whose ceiling is below the best lambda1 found need not be solved:
+
+- ``pin_set_ceilings``: the three upper bounds above, for many pin
+  sets of one size at once. The mean boundary weight is cut(S), the
+  number of edges leaving S, over n - l: the Rayleigh quotient of the
+  all-ones vector.
+- ``upper_after_pin``: given the bottom eigenpair (lam, u) of a
+  grounded matrix M, pinning one more node v gives
+  lambda1 <= (lam*(1 - 2u_v^2) + M_vv*u_v^2) / (1 - u_v^2), the Rayleigh
+  quotient of u with entry v deleted (+inf when u_v^2 is about 1). On
+  the full Laplacian, whose bottom eigenvector is constant, this is
+  the single-pin cap deg(v)/(n-1).
 """
 
 from __future__ import annotations
@@ -29,6 +43,8 @@ __all__ = [
     "upper_by_min_degree",
     "boundary_bounds",
     "grounded_bounds",
+    "pin_set_ceilings",
+    "upper_after_pin",
     "upper_single_pin",
     "necessary_lambda2",
     "feedback_gain_bound",
@@ -67,6 +83,54 @@ def grounded_bounds(g: Graph, grounded: GroundedLaplacian) -> tuple[float, float
     of one grounding of g: the pin-set-dependent bounds, taken together."""
     w = grounded.weights
     return float(w.min()), float(g.degrees[grounded.keep].min()), float(w.mean())
+
+
+# bytes of the (rows, l, l) blocks pin_set_ceilings gathers at a time
+_CEILING_CHUNK_BYTES = 1 << 20
+
+
+def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
+    """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1:
+    min(spectrum[l], min uncontrolled degree, cut(S) / (n - l)).
+
+    cut(S), the number of edges leaving S, is the sum of the Laplacian
+    block L_SS; the min uncontrolled degree is that of the first of the
+    l+1 lowest-degree nodes not in S. Rows are taken in chunks, so no
+    k x n array is formed.
+    """
+    ctx = g.context
+    k, l = pins.shape
+    if not (1 <= l <= g.n - 1):
+        raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
+    deg = g.degrees
+    low = np.argsort(deg, kind="stable")[: l + 1]
+    out = np.empty(k)
+    step = max(1, _CEILING_CHUNK_BYTES // (8 * l * (l + 1)))
+    for start in range(0, k, step):
+        s = pins[start:start + step]
+        cut = ctx.laplacian[s[:, :, None], s[:, None, :]].sum(axis=(1, 2))
+        free = np.argmin((s[:, :, None] == low).any(axis=1), axis=1)
+        out[start:start + step] = np.minimum(deg[low[free]], cut / (g.n - l))
+    return np.minimum(out, ctx.spectrum[l])
+
+
+def upper_after_pin(m: np.ndarray, lam: float, u: np.ndarray) -> np.ndarray:
+    """Per row v of the symmetric matrix m, an upper bound on the smallest
+    eigenvalue of m with row and column v deleted.
+
+    (lam, u) is the bottom eigenpair of m, u of unit norm. Deleting
+    entry v of u leaves a test vector of squared norm 1 - u_v^2 and
+    Rayleigh quotient (lam*(1 - 2u_v^2) + m_vv*u_v^2) / (1 - u_v^2), which
+    bounds the smaller matrix's lambda1 from above (Courant-Fischer).
+    Where u_v^2 is within 1e-12 of 1 nothing is left to test, and the
+    bound is +inf.
+    """
+    u2 = u * u
+    rest = 1.0 - u2
+    out = np.full(len(u), np.inf)
+    ok = rest > 1e-12
+    out[ok] = (lam * (1.0 - 2.0 * u2[ok]) + np.diagonal(m)[ok] * u2[ok]) / rest[ok]
+    return out
 
 
 def upper_single_pin(g: Graph, i: int) -> float:

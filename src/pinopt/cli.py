@@ -1,7 +1,8 @@
 """Command-line front end: gen, analyze, select, sweep, simulate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or
-malformed input file), 3 budget refusal (exhaustive search too large).
+malformed input file), 3 budget refusal (exhaustive search too large,
+or a simulation over its step cap).
 All output is deterministic for a fixed seed: repeated invocations are
 byte-identical.
 """
@@ -9,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -353,7 +355,9 @@ def cmd_simulate(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="pinopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -419,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = 0
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

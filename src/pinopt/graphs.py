@@ -45,6 +45,7 @@ __all__ = [
     "connected_components",
     "is_connected",
     "parse_edge_list",
+    "MAX_NODES",
     "format_edge_list",
     "read_edge_list",
     "write_edge_list",
@@ -184,6 +185,21 @@ class GraphContext:
         idx = np.flatnonzero(keep)
         return GroundedLaplacian(self.laplacian[np.ix_(idx, idx)], keep, self)
 
+    def grounded_lambda1s(self, pins: np.ndarray) -> np.ndarray:
+        """lambda1 of the grounding of each row of `pins` (k x l distinct
+        valid node ids), from one stacked eigensolve.
+
+        Each value equals ``ground(row).lambda1`` bit for bit: the stacked
+        matrices are the same submatrices, and LAPACK solves them one by
+        one. The symmetry check is skipped, as every matrix is a block of
+        the Laplacian.
+        """
+        k = len(pins)
+        keep = np.ones((k, self.n), dtype=bool)
+        keep[np.arange(k)[:, None], pins] = False
+        idx = np.nonzero(keep)[1].reshape(k, -1)
+        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0]
+
     def boundary_weights(self, keep: np.ndarray) -> np.ndarray:
         """Pinned-neighbor counts (int64) of the nodes that `keep` marks, ascending id."""
         pinned = ~keep
@@ -301,6 +317,11 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# largest node count parse_edge_list accepts: the dense Laplacian of a
+# graph this size already takes 800 MB, and its eigensolve as much again
+MAX_NODES = 10_000
+
+
 class EdgeListError(ValueError):
     """Malformed edge-list text; message carries the 1-based line number."""
 
@@ -322,6 +343,10 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(parts[0])
             except ValueError:
                 raise EdgeListError(f"line {lineno}: node count {parts[0]!r} is not an integer") from None
+            if n > MAX_NODES:
+                raise EdgeListError(
+                    f"line {lineno}: node count {n} exceeds the limit of {MAX_NODES} nodes"
+                )
             continue
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .bounds import pin_set_ceilings, upper_after_pin
 from .graphs import Graph, connected_components
+from .spectra import eig_sym_pairs
 
 __all__ = [
     "BudgetError",
@@ -30,10 +32,15 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BUDGET = 2_000_000
+# lambda1 values within this of the max tie; the searches break ties by order
+TIE_TOL = 1e-9
+# bytes of grounded matrices stacked into one eigensolve, at most
+BATCH_BYTES = 128 * 1024
 
 
 class BudgetError(RuntimeError):
-    """Raised when an exhaustive search would exceed its subset budget."""
+    """Raised when an exhaustive search would exceed its subset budget,
+    or a simulation its step cap."""
 
 
 @dataclass(frozen=True)
@@ -136,22 +143,21 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     pairs in different components contribute nothing.
     """
     n = g.n
-    bc = np.zeros(n, dtype=np.float64)
+    # Python lists, not arrays: numpy's scalar indexing is slower per node
+    bc = [0.0] * n
     nbrs = g.neighbors
     for s in range(n):
         # BFS from s, recording predecessor lists and path counts
-        sigma = np.zeros(n)
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
+        dist = [-1] * n
         dist[s] = 0
         preds: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
         queue = [s]
         head = 0
         while head < len(queue):
             v = queue[head]
             head += 1
-            order.append(v)
             for w in nbrs[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
@@ -160,13 +166,13 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
         # dependency accumulation in reverse BFS order
-        delta = np.zeros(n)
-        for w in reversed(order):
+        delta = [0.0] * n
+        for w in reversed(queue):
             for v in preds[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             if w != s:
                 bc[w] += delta[w]
-    return bc / 2.0
+    return np.array(bc) / 2.0
 
 
 def select_betweenness(g: Graph, l: int) -> SelectionResult:
@@ -258,14 +264,45 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
+def _pruned_argmax(g: Graph, pins: np.ndarray, ceilings: np.ndarray) -> tuple[int, float]:
+    """The winning row of `pins` (k x l node ids, in the order that breaks
+    ties) and its lambda1, solving only the rows the ceilings leave open.
+
+    Rows are solved in descending order of their ceiling (row order
+    within equal ceilings), in stacked batches of 1, 2, 4, ... matrices
+    up to BATCH_BYTES, until the next ceiling is below best - TIE_TOL:
+    no row left can then come within TIE_TOL of the max. The winner is
+    the first row whose lambda1 is at least max - TIE_TOL, the same row
+    that solving every row would give.
+    """
+    order = np.argsort(-ceilings, kind="stable")
+    sorted_ceilings = ceilings[order]
+    cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
+    vals = np.full(len(pins), -np.inf)
+    best = -np.inf
+    start, size = 0, 1
+    while start < len(order) and sorted_ceilings[start] >= best - TIE_TOL:
+        batch = order[start:start + size][sorted_ceilings[start:start + size] >= best - TIE_TOL]
+        vals[batch] = g.context.grounded_lambda1s(pins[batch])
+        best = max(best, float(vals[batch].max()))
+        start += size
+        size = min(2 * size, cap)
+    win = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
+    return win, float(vals[win])
+
+
 def brute_force_max_lambda1(
     g: Graph, l: int, budget: int = BRUTE_FORCE_BUDGET
 ) -> SelectionResult:
     """Exact max of lambda1 over all pin sets of size l.
 
-    Enumerates subsets in lexicographic order; ties at equal lambda1
-    resolve toward the lexicographically smallest subset. Refuses to
-    start when C(n, l) exceeds the budget.
+    Tie rule: the winner is the lexicographically smallest set whose
+    lambda1 is at least max - TIE_TOL, whatever order the sets are
+    solved in. Pruning: every set gets the ceiling
+    ``bounds.pin_set_ceilings`` (interlacing, min uncontrolled degree,
+    mean boundary weight), and sets are solved from the highest ceiling
+    down until no set left can reach the tie window. Refuses to start
+    when C(n, l) exceeds the budget.
     """
     _check_l(g, l)
     count = math.comb(g.n, l)
@@ -273,57 +310,56 @@ def brute_force_max_lambda1(
         raise BudgetError(
             f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}"
         )
-    lap = g.context.laplacian
-    all_idx = np.arange(g.n)
-    best_val = -np.inf
-    best: tuple[int, ...] | None = None
-    mask = np.ones(g.n, dtype=bool)
-    for combo in itertools.combinations(range(g.n), l):
-        mask[:] = True
-        mask[list(combo)] = False
-        keep = all_idx[mask]
-        val = float(np.linalg.eigvalsh(lap[np.ix_(keep, keep)])[0])
-        if val > best_val:
-            best_val = val
-            best = combo
-    assert best is not None
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(g.n), l)),
+        dtype=np.min_scalar_type(g.n - 1), count=count * l,
+    ).reshape(count, l)
+    win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos))
     return SelectionResult(
         strategy="brute_force",
         l=l,
         q=None,
         seed=None,
-        pin_set=best,
-        lambda1=best_val,
-        lambda1_runs=(best_val,),
+        pin_set=tuple(int(v) for v in combos[win]),
+        lambda1=lam,
+        lambda1_runs=(lam,),
     )
 
 
 def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     """Grow a pin set one node at a time, maximizing lambda1 each round.
 
-    Ties go to the smallest node id. A baseline for the exhaustive
-    search: never better, often close.
+    Tie rule: each round adds the smallest node id whose lambda1 is at
+    least that round's max - TIE_TOL. Pruning: a round solves the
+    current grounding once for its bottom eigenpair, bounds every
+    candidate by ``bounds.upper_after_pin`` (round 0 uses the full
+    Laplacian's constant eigenvector, giving deg(v)/(n-1)), and solves
+    candidates from the highest bound down until none left can reach the
+    tie window. A baseline for the exhaustive search: never better,
+    often close.
     """
     _check_l(g, l)
     ctx = g.context
     current: list[int] = []
-    for _ in range(l):
-        best_v, best_val = -1, -np.inf
-        for v in range(g.n):
-            if v in current:
-                continue
-            val = ctx.ground(current + [v]).lambda1
-            if val > best_val:
-                best_val, best_v = val, v
-        current.append(best_v)
-    pins = tuple(sorted(current))
-    lam = ctx.ground(pins).lambda1
+    m, lam, u = ctx.laplacian, 0.0, np.full(g.n, 1.0 / math.sqrt(g.n))
+    for k in range(l):
+        free = np.flatnonzero(ctx.keep(current))
+        rows = np.empty((len(free), k + 1), dtype=np.int64)
+        rows[:, :k] = current
+        rows[:, k] = free
+        win, val = _pruned_argmax(g, rows, upper_after_pin(m, lam, u))
+        current.append(int(free[win]))
+        if k + 1 < l:
+            m = ctx.ground(current).matrix
+            vals, vecs = eig_sym_pairs(m)
+            lam, u = float(vals[0]), vecs[:, 0]
+    # the last round solved the grounding of exactly this set
     return SelectionResult(
         strategy="greedy",
         l=l,
         q=None,
         seed=None,
-        pin_set=pins,
-        lambda1=lam,
-        lambda1_runs=(lam,),
+        pin_set=tuple(sorted(current)),
+        lambda1=val,
+        lambda1_runs=(val,),
     )

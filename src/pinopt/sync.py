@@ -24,7 +24,9 @@ stage and are bit-identical to earlier versions.
 
 ``SimConfig`` refuses a non-finite ``c``, ``h``, ``d``, ``dt`` or
 ``t_end``, a non-positive ``c``, ``dt`` or ``t_end``, and ``dt > t_end``
-(which would integrate one ``dt`` past ``t_end``).
+(which would integrate one ``dt`` past ``t_end``). ``simulate`` refuses
+a run of more than ``MAX_RK4_STEPS`` steps with a ``BudgetError``
+before it allocates any state.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 from .graphs import Graph, ground, pin_set
 from .spectra import eig_sym
+from .strategies import BudgetError
 
 __all__ = [
     "NodeDynamics",
@@ -48,9 +51,12 @@ __all__ = [
     "simulate",
     "check_criterion",
     "linear_stability_oracle",
+    "MAX_RK4_STEPS",
 ]
 
 BLOWUP_LIMIT = 1e12
+# longest run simulate accepts, in RK4 steps round(t_end / dt)
+MAX_RK4_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,13 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     non-finite value) stops the run early and is reported as a blowup.
     Linear dynamics under the linear controller step by the exact
     propagator (see the module notes); all other runs stage by stage.
+    A run of more than MAX_RK4_STEPS steps raises BudgetError.
     """
+    steps = round(cfg.t_end / cfg.dt)
+    if steps > MAX_RK4_STEPS:
+        raise BudgetError(
+            f"round(T / dt) = {steps} RK4 steps exceeds the cap of {MAX_RK4_STEPS}"
+        )
     pins = pin_set(g, s)
     pin_idx = np.array(pins, dtype=np.int64)
     n = g.n
@@ -300,7 +312,6 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
             return (z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z),
                     dv + sixth * (k1d + 2 * k2d + 2 * k3d + k4d))
 
-    steps = round(cfg.t_end / dt)
     times: list[float] = []
     errs: list[np.ndarray] = []
     gains: list[np.ndarray] = []

@@ -9,13 +9,15 @@ from pinopt.bounds import (
     boundary_bounds,
     feedback_gain_bound,
     necessary_lambda2,
+    pin_set_ceilings,
+    upper_after_pin,
     upper_by_min_degree,
     upper_by_spectrum,
     upper_single_pin,
 )
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
 from pinopt.graphs import ground, laplacian, pin_set
-from pinopt.spectra import eig_sym, lambda1
+from pinopt.spectra import eig_sym, eig_sym_pairs, lambda1
 
 TOL = 1e-9
 
@@ -71,6 +73,50 @@ def test_upper_single_pin_tight_on_star_and_complete():
     assert abs(lambda1(ground(g, [3]).matrix) - 1.0) < TOL
     with pytest.raises(ValueError):
         upper_single_pin(g, 7)
+
+
+def test_upper_after_pin_bounds_every_deletion():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        n = int(rng.integers(4, 20))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
+        grounded = ground(g, rand_pins(rng, n, int(rng.integers(1, n - 1))))
+        m = grounded.matrix
+        vals, vecs = eig_sym_pairs(m)
+        bound = upper_after_pin(m, vals[0], vecs[:, 0])
+        for i in range(len(m)):
+            rest = [j for j in range(len(m)) if j != i]
+            assert lambda1(m[np.ix_(rest, rest)]) <= bound[i] + TOL
+
+
+def test_upper_after_pin_on_the_laplacian_is_the_single_pin_cap():
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        n = int(rng.integers(3, 20))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
+        got = upper_after_pin(laplacian(g), 0.0, np.full(n, 1.0 / np.sqrt(n)))
+        want = [upper_single_pin(g, i) for i in range(n)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_upper_after_pin_is_infinite_on_a_unit_entry():
+    bound = upper_after_pin(np.eye(2), 1.0, np.array([1.0, 0.0]))
+    assert bound[0] == np.inf and bound[1] == 1.0
+
+
+def test_pin_set_ceilings_take_the_three_upper_bounds():
+    rng = np.random.default_rng(35)
+    for _ in range(30):
+        n = int(rng.integers(3, 25))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
+        l = int(rng.integers(1, n))
+        rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
+        got = pin_set_ceilings(g, rows)
+        for row, ceiling in zip(rows, got):
+            _, avg = boundary_bounds(g, row)
+            want = min(upper_by_spectrum(g, l), upper_by_min_degree(g, row), avg)
+            assert ceiling == pytest.approx(want, abs=1e-12)
+            assert lambda1(ground(g, row).matrix) <= ceiling + TOL
 
 
 def test_necessary_lambda2_threshold():

@@ -8,7 +8,7 @@ import pytest
 
 import pinopt
 from pinopt import generators
-from pinopt.cli import SWEEP_COLUMNS, main
+from pinopt.cli import SWEEP_COLUMNS, build_parser, main
 from pinopt.graphs import format_edge_list
 
 
@@ -285,6 +285,31 @@ def test_main_in_process_exit_codes(tmp_path, capsys):
     assert main(["gen", "--family", "star", "--n", "6", "--out", str(path)]) == 0
     assert main(["analyze", str(path), "--pins", "0"]) == 0
     capsys.readouterr()
+
+
+def test_node_count_over_the_limit_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000\n0 1\n")
+    assert main(["analyze", str(path), "--pins", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "node count 100000000 exceeds the limit of 10000 nodes" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_over_the_step_cap_is_a_budget_refusal(double_star_file, capsys):
+    argv = ["simulate", str(double_star_file), "--pins", "0", "--dynamics", "linear_unstable",
+            "--controller", "linear", "--c", "1.0", "--dt", "1e-12", "--T", "50"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the cap of 2000000" in err
+
+
+def test_the_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    assert main(["select"]) == 1 and main(["select"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == err[1] and err[0].startswith("error: pinopt select: ")
 
 
 def test_sweep_rejects_zero_runs_like_select(double_star_file):

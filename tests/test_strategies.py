@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import betweenness_by_enumeration, rand_connected
+from test_acceptance import _suite
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
 from pinopt.graphs import build_graph, ground
 from pinopt.spectra import lambda1
 from pinopt.strategies import (
     BRUTE_FORCE_BUDGET,
+    TIE_TOL,
     BudgetError,
     StrategyConfig,
     betweenness_centrality,
@@ -35,6 +37,47 @@ def test_betweenness_against_path_enumeration():
         g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
         got = betweenness_centrality(g)
         assert np.allclose(got, betweenness_by_enumeration(g), atol=1e-9)
+
+
+def _betweenness_with_arrays(g):
+    """The Brandes loop over numpy arrays, as betweenness_centrality once ran it."""
+    n = g.n
+    bc = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[s] = 0
+        preds = [[] for _ in range(n)]
+        order = []
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            order.append(v)
+            for w in g.neighbors[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(n)
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    return bc / 2.0
+
+
+def test_betweenness_equals_the_array_loop_exactly():
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, 2 * n)))
+        assert np.array_equal(betweenness_centrality(g), _betweenness_with_arrays(g))
 
 
 def test_betweenness_known_values():
@@ -223,6 +266,65 @@ def test_greedy_never_beats_brute_force():
         assert len(greedy.pin_set) == l
         assert greedy.lambda1 <= brute.lambda1 + 1e-12
         assert greedy.lambda1 == pytest.approx(_lam(g, greedy.pin_set))
+
+
+def _plain_brute_force(g, l):
+    """Solve every set; the smallest set within TIE_TOL of the max wins."""
+    vals = {combo: g.context.ground(combo).lambda1
+            for combo in itertools.combinations(range(g.n), l)}
+    top = max(vals.values())
+    best = min(combo for combo, val in vals.items() if val >= top - TIE_TOL)
+    return best, vals[best]
+
+
+def _plain_greedy(g, l):
+    """Solve every candidate each round; the smallest id within TIE_TOL of the max wins."""
+    current = []
+    for _ in range(l):
+        vals = {v: g.context.ground(current + [v]).lambda1 for v in range(g.n) if v not in current}
+        top = max(vals.values())
+        current.append(min(v for v, val in vals.items() if val >= top - TIE_TOL))
+    pins = tuple(sorted(current))
+    return pins, g.context.ground(pins).lambda1
+
+
+def _search_graphs():
+    """The acceptance suite's graphs with n <= 8, then seeded random ones."""
+    graphs = [g for g, _ in _suite() if g.n <= 8]
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        n = int(rng.integers(4, 12))
+        graphs.append(rand_connected(rng, n, extra=int(rng.integers(0, 2 * n))))
+    return graphs
+
+
+def test_pruned_brute_force_equals_plain_enumeration():
+    for g in _search_graphs():
+        for l in range(1, g.n):
+            res = brute_force_max_lambda1(g, l)
+            assert (res.pin_set, res.lambda1) == _plain_brute_force(g, l), (g, l)
+
+
+def test_pruned_greedy_equals_unpruned_greedy():
+    for g in _search_graphs():
+        for l in range(1, g.n):
+            res = greedy_max_lambda1(g, l)
+            assert (res.pin_set, res.lambda1) == _plain_greedy(g, l), (g, l)
+
+
+def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
+    # the 11th graph drawn in test_greedy_never_beats_brute_force
+    rng = np.random.default_rng(47)
+    for _ in range(11):
+        n = int(rng.integers(4, 9))
+        g = rand_connected(rng, n, extra=3)
+        l = int(rng.integers(1, n - 1))
+    assert (n, l) == (7, 2)
+    # (4, 6) solves to exactly 1.0 and (0, 6) to a few ulps below it: a tie
+    assert _lam(g, (4, 6)) == 1.0
+    res = brute_force_max_lambda1(g, l)
+    assert res.pin_set == (0, 6)
+    assert res.lambda1 == 0.9999999999999996
 
 
 def test_greedy_prefers_small_ids_on_ties():
