@@ -30,8 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectra import eig_sym
-
 __all__ = [
     "Graph",
     "GraphContext",
@@ -168,8 +166,12 @@ class GraphContext:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """All Laplacian eigenvalues, ascending."""
-        vals = eig_sym(self.laplacian)
+        """All Laplacian eigenvalues, ascending.
+
+        No symmetry check (``spectra.eig_sym`` has one): the Laplacian is
+        symmetric by construction and read-only.
+        """
+        vals = np.linalg.eigvalsh(self.laplacian)
         vals.flags.writeable = False
         return vals
 
@@ -234,8 +236,9 @@ class GroundedLaplacian:
 
     @cached_property
     def lambda1(self) -> float:
-        """Smallest eigenvalue of `matrix`."""
-        return float(eig_sym(self.matrix)[0])
+        """Smallest eigenvalue of `matrix`, a block of the context's
+        Laplacian, so symmetric by construction and not checked again."""
+        return float(np.linalg.eigvalsh(self.matrix)[0])
 
     @property
     def size(self) -> int:

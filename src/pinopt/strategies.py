@@ -36,6 +36,9 @@ BRUTE_FORCE_BUDGET = 2_000_000
 TIE_TOL = 1e-9
 # bytes of grounded matrices stacked into one eigensolve, at most
 BATCH_BYTES = 128 * 1024
+# betweenness runs its sources in chunks whose per-node arrays and per-level
+# edge arrays hold about this many entries (more if one source alone needs it)
+CHUNK_ENTRIES = 1 << 15
 
 
 class BudgetError(RuntimeError):
@@ -137,50 +140,90 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
 def betweenness_centrality(g: Graph) -> np.ndarray:
     """Shortest-path betweenness of every node, endpoints excluded.
 
-    Single-source shortest-path counting with pair-dependency
-    accumulation over the BFS DAG. Values count unordered pairs (each
-    source/target pair contributes once). Disconnected graphs are fine;
-    pairs in different components contribute nothing.
+    Brandes' algorithm: shortest-path counting (`sigma`) over each
+    source's BFS DAG, then dependency accumulation (`delta`) from the
+    deepest level up. Values count unordered pairs (each source/target
+    pair contributes once). Disconnected graphs are fine; pairs in
+    different components contribute nothing.
+
+    The searches run level by level over a chunk of sources at once,
+    with the chunk sized so that the per-node arrays and one level's
+    edge arrays hold about CHUNK_ENTRIES entries. Each float sum keeps
+    the order of the one-source-at-a-time loop, so the result is the
+    same to the bit: `sigma[w]` adds its predecessors in BFS-queue
+    order, `delta[v]` adds its successors in reverse queue order, and
+    `bc` adds the sources in id order.
     """
     n = g.n
-    # Python lists, not arrays: numpy's scalar indexing is slower per node
-    bc = [0.0] * n
     nbrs = g.neighbors
-    for s in range(n):
-        # BFS from s, recording predecessor lists and path counts
-        sigma = [0.0] * n
-        sigma[s] = 1.0
-        dist = [-1] * n
-        dist[s] = 0
-        preds: list[list[int]] = [[] for _ in range(n)]
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        # dependency accumulation in reverse BFS order
-        delta = [0.0] * n
-        for w in reversed(queue):
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return np.array(bc) / 2.0
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in nbrs], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(nbrs), dtype=np.intp, count=indptr[-1])
+    deg = np.diff(indptr)
+    chunk = max(1, CHUNK_ENTRIES // max(n, len(indices)))
+    bc = np.zeros(n)
+    for lo in range(0, n, chunk):
+        sources = np.arange(lo, min(n, lo + chunk))
+        k = len(sources)
+        # node v of the i-th source's search is entry i*n + v
+        roots = np.arange(k) * n + sources
+        dist = np.full(k * n, -1, dtype=np.intp)
+        dist[roots] = 0
+        sigma = np.zeros(k * n)
+        sigma[roots] = 1.0
+        first = np.empty(k * n, dtype=np.intp)
+        # per level, its edges to the level above, in reverse queue order
+        up_edges = []
+        frontier, nodes, depth = roots, sources, 0
+        while len(frontier):
+            # the frontier's edges in (queue position, neighbour id) order
+            cnt = deg[nodes]
+            ends = np.cumsum(cnt)
+            pos = np.arange(ends[-1]) + np.repeat(indptr[nodes] - (ends - cnt), cnt)
+            tail = np.repeat(frontier, cnt)
+            nbr = indices[pos]
+            head = np.repeat(frontier - nodes, cnt) + nbr
+            hd = dist[head]
+            # subsets by integer index arrays: on irregular masks they are
+            # much faster than boolean indexing
+            if depth:
+                up = np.flatnonzero(hd == depth - 1)[::-1]
+                up_edges.append((head[up], tail[up]))
+            new = np.flatnonzero(hd < 0)
+            tail, head = tail[new], head[new]
+            np.add.at(sigma, head, sigma[tail])
+            # the next frontier in discovery order: each node at its first edge
+            at = np.arange(len(head))
+            first[head] = len(head)
+            np.minimum.at(first, head, at)
+            found = np.flatnonzero(first[head] == at)
+            frontier, nodes = head[found], nbr[new[found]]
+            depth += 1
+            dist[frontier] = depth
+        delta = np.zeros(k * n)
+        for v, w in reversed(up_edges):
+            np.add.at(delta, v, (sigma[v] / sigma[w]) * (1.0 + delta[w]))
+        delta[roots] = 0.0
+        for row in delta.reshape(k, n):
+            bc += row
+    return bc / 2.0
 
 
 def select_betweenness(g: Graph, l: int) -> SelectionResult:
-    """Pin the l nodes of highest betweenness, ties to the smaller id."""
+    """Pin the l nodes of highest betweenness.
+
+    Tie rule: l picks, each the smallest id among the nodes not yet
+    picked whose betweenness is at least ``top - TIE_TOL * max(1, top)``,
+    where ``top`` is the largest value among them. Values that differ
+    only by float noise therefore tie, and ties go to the smaller id.
+    """
     _check_l(g, l)
     bc = betweenness_centrality(g)
-    order = np.lexsort((np.arange(g.n), -bc))
-    pins = tuple(sorted(int(v) for v in order[:l]))
+    left = np.ones(g.n, dtype=bool)
+    for _ in range(l):
+        top = bc[left].max()
+        left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
+    pins = tuple(int(v) for v in np.flatnonzero(~left))
     lam = g.context.ground(pins).lambda1
     return SelectionResult(
         strategy="betweenness",

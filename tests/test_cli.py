@@ -373,6 +373,19 @@ def ba200_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def graphs300(tmp_path_factory):
+    """A BA and an NW graph on 300 nodes, as files keyed ba300 and nw300."""
+    folder = tmp_path_factory.mktemp("graphs300")
+    files = {}
+    for name, flags in [("ba300", ["ba", "--m0", "4", "--m", "2", "--seed", "21"]),
+                        ("nw300", ["nw", "--K", "4", "--p", "0.1", "--seed", "22"])]:
+        files[name] = folder / f"{name}.txt"
+        res = run_cli("gen", "--n", "300", "--out", str(files[name]), "--family", *flags)
+        assert res.returncode == 0, res.stderr
+    return files
+
+
 @pytest.mark.parametrize("recorded, argv", [
     ("sweep_ba200_degree_mix.csv", ["sweep", "{ba200}", "--strategy", "degree_mix",
                                     "--l-range", "20:180:80", "--q", "0,0.5,1",
@@ -380,9 +393,13 @@ def ba200_file(tmp_path_factory):
     ("select_dolphins_greedy.json", ["select", str(DOLPHINS), "--strategy", "greedy", "--l", "3"]),
     ("analyze_ba200.json", ["analyze", "{ba200}", "--pins", "0,3,17,42,99,150",
                             "--alpha-over-c", "0.35"]),
+    ("select_ba300_betweenness.json", ["select", "{ba300}", "--strategy", "betweenness",
+                                       "--l", "15"]),
+    ("select_nw300_betweenness.json", ["select", "{nw300}", "--strategy", "betweenness",
+                                       "--l", "15"]),
 ])
-def test_stdout_matches_recorded_bytes(ba200_file, recorded, argv):
-    argv = [a.format(ba200=ba200_file) for a in argv]
+def test_stdout_matches_recorded_bytes(ba200_file, graphs300, recorded, argv):
+    argv = [a.format(ba200=ba200_file, **graphs300) for a in argv]
     res = subprocess.run([sys.executable, "-m", "pinopt", *argv], capture_output=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == (DATA / recorded).read_bytes()

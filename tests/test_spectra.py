@@ -69,6 +69,17 @@ def test_eig_sym_input_validation():
         eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("helper", [eig_sym, eig_sym_pairs])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_helpers_reject_asymmetric_and_non_finite_input(helper, bad):
+    # the graph context solves its Laplacian blocks without this check;
+    # matrices from outside still get it
+    with pytest.raises(ValueError, match="not symmetric"):
+        helper(np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        helper(np.array([[2.0, bad], [bad, 2.0]]))
+
+
 def test_lambda1_is_smallest():
     rng = np.random.default_rng(24)
     for _ in range(15):

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import pinopt.strategies
 from conftest import betweenness_by_enumeration, rand_connected
 from test_acceptance import _suite
-from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
+from pinopt.generators import gen_complete, gen_double_star, gen_nw, gen_path, gen_star
 from pinopt.graphs import build_graph, ground
 from pinopt.spectra import lambda1
 from pinopt.strategies import (
@@ -80,6 +81,91 @@ def test_betweenness_equals_the_array_loop_exactly():
         assert np.array_equal(betweenness_centrality(g), _betweenness_with_arrays(g))
 
 
+def _betweenness_list_loop(g):
+    """The Brandes loop over Python lists, one source at a time, as
+    betweenness_centrality ran it before the sources were batched."""
+    n = g.n
+    bc = [0.0] * n
+    nbrs = g.neighbors
+    for s in range(n):
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        dist = [-1] * n
+        dist[s] = 0
+        preds = [[] for _ in range(n)]
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(queue):
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    return np.array(bc) / 2.0
+
+
+def _grid(side):
+    cells = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate([np.stack([cells[:, :-1].ravel(), cells[:, 1:].ravel()], 1),
+                            np.stack([cells[:-1].ravel(), cells[1:].ravel()], 1)])
+    return build_graph(side * side, edges)
+
+
+def _layered(rng, layers, width):
+    """Each node linked to 2..width random nodes of the layer before it:
+    up to `width` predecessors with unequal path counts, past 2**53 after
+    about 35 layers."""
+    edges = []
+    for t in range(1, layers):
+        for j in range(width):
+            below = rng.choice(width, size=int(rng.integers(2, width + 1)), replace=False)
+            edges += [((t - 1) * width + int(i), t * width + j) for i in below]
+    return build_graph(layers * width, edges)
+
+
+def _hypercube(dim):
+    return build_graph(1 << dim, [(u, u ^ (1 << b)) for u in range(1 << dim) for b in range(dim)])
+
+
+@pytest.fixture(scope="module")
+def betweenness_cases():
+    """(graph, list-loop betweenness) pairs: random connected graphs,
+    graphs with several components and isolated nodes, n = 1 and 2, a
+    300-node path (300 levels from an end), a star, a 30 x 30 grid and a
+    layered graph. Path counts pass 2**53 on the last two, where float
+    sums round; on the grid a node has at most two predecessors, whose
+    sum is the same in either order, so only the layered graph shows the
+    order of the sigma sums."""
+    rng = np.random.default_rng(43)
+    graphs = [rand_connected(rng, int(rng.integers(3, 60)), extra=int(rng.integers(0, 90)))
+              for _ in range(25)]
+    for _ in range(15):
+        n = int(rng.integers(2, 40))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2))
+        graphs.append(build_graph(n, [(u, v) for u, v in pairs if u != v]))
+    graphs += [build_graph(1, []), build_graph(2, []), build_graph(2, [(0, 1)]),
+               build_graph(7, [(0, 1), (1, 2), (4, 5)]), gen_path(300), gen_star(40), _grid(30),
+               _layered(rng, 40, 5)]
+    return [(g, _betweenness_list_loop(g)) for g in graphs]
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 1 << 40], ids=["one_source", "all_sources"])
+def test_betweenness_equals_the_list_loop_exactly(betweenness_cases, chunk_entries, monkeypatch):
+    monkeypatch.setattr(pinopt.strategies, "CHUNK_ENTRIES", chunk_entries)
+    for g, expect in betweenness_cases:
+        assert np.array_equal(betweenness_centrality(g), expect), (g.n, g.m)
+
+
 def test_betweenness_known_values():
     n = 7
     star = betweenness_centrality(gen_star(n))
@@ -102,6 +188,17 @@ def test_select_betweenness_breaks_ties_by_id():
     assert res.pin_set == (0,)
     assert res.lambda1 == pytest.approx(_lam(c4, (0,)))
     assert res.strategy == "betweenness"
+
+
+@pytest.mark.parametrize("g", [gen_nw(31, 4, 0.0, 0), gen_nw(50, 6, 0.0, 0),
+                               gen_nw(97, 4, 0.0, 0), _hypercube(6)],
+                         ids=["ring31", "ring50", "ring97", "Q6"])
+def test_select_betweenness_ties_within_tolerance_go_to_smaller_ids(g):
+    # vertex transitive: every true value is equal, the computed ones
+    # differ only by float noise
+    bc = betweenness_centrality(g)
+    assert np.ptp(bc) <= TIE_TOL * bc.max()
+    assert select_betweenness(g, 3).pin_set == (0, 1, 2)
 
 
 # ----------------------------------------------------------------- degree mix
