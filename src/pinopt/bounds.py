@@ -11,8 +11,9 @@ where the boundary weight of an uncontrolled node counts its pinned
 neighbors. All bounds here are cheap relative to the grounded
 eigensolve and are reported together for cross-checking.
 
-Two forms serve the pin-set searches as ceilings, so that a candidate
-whose ceiling is below the best lambda1 found need not be solved:
+Three forms serve the pin-set searches as ceilings, so that a candidate
+whose ceiling is below the best lambda1 found need not be solved. The
+first two are closed forms, the first tier of every candidate:
 
 - ``pin_set_ceilings``: the three upper bounds above, for many pin
   sets of one size at once. The mean boundary weight is cut(S), the
@@ -24,6 +25,15 @@ whose ceiling is below the best lambda1 found need not be solved:
   quotient of u with entry v deleted (+inf when u_v^2 is about 1). On
   the full Laplacian, whose bottom eigenvector is constant, this is
   the single-pin cap deg(v)/(n-1).
+
+The second tier, for the candidates the first leaves open, is
+``ritz_ceilings``: from the same test vector (all-ones on the kept
+nodes, or u with entry v deleted), a few Lanczos steps on the candidate's
+grounded matrix, applied as a masked product with the Laplacian, give a
+Ritz vector whose Rayleigh quotient is still an upper bound, and
+usually far closer to lambda1. The quotient is recomputed from that
+vector and raised by a rounding slack of 4 n eps max(1, 2 dmax), so it
+stays an upper bound however inexact the Lanczos basis is.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ __all__ = [
     "grounded_bounds",
     "pin_set_ceilings",
     "upper_after_pin",
+    "ritz_ceilings",
     "upper_single_pin",
     "necessary_lambda2",
     "feedback_gain_bound",
@@ -130,6 +141,73 @@ def upper_after_pin(m: np.ndarray, lam: float, u: np.ndarray) -> np.ndarray:
     out = np.full(len(u), np.inf)
     ok = rest > 1e-12
     out[ok] = (lam * (1.0 - 2.0 * u2[ok]) + np.diagonal(m)[ok] * u2[ok]) / rest[ok]
+    return out
+
+
+# dimension of the Krylov space ritz_ceilings searches
+RITZ_DEPTH = 4
+
+
+def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray, chunk_bytes: int) -> np.ndarray:
+    """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
+    of that grounding, tighter than the Rayleigh quotient of `start`.
+
+    M, the row's grounded matrix, acts in n-space as x -> keep * (x @ L),
+    where keep zeroes the row's pins. From x = `start` (n floats) with
+    the row's pins zeroed, Lanczos builds a basis of the Krylov space
+    {x, Mx, ..., M^(d-1) x}, d = RITZ_DEPTH. Its bottom Ritz vector y is
+    zero on the pins, so its Rayleigh quotient bounds lambda1 from above
+    (Courant-Fischer), and in exact arithmetic never exceeds the
+    quotient of x. The quotient is taken from y itself, with one more
+    product, plus `4 * n * eps * max(1, 2 * dmax)` for its rounding, so
+    the bound holds however inexact the basis is. A row whose x is zero
+    or not finite gets +inf. Rows are taken in chunks whose temporaries
+    stay within `chunk_bytes`.
+    """
+    lap = g.context.laplacian
+    n, d = g.n, RITZ_DEPTH
+    # 2 * dmax bounds every eigenvalue of M (Gershgorin)
+    top = 2.0 * float(g.degrees.max(initial=0))
+    slack = 4.0 * n * np.finfo(float).eps * max(1.0, top)
+    out = np.empty(len(pins))
+    step = max(1, chunk_bytes // (8 * n * (d + 5)))
+    for lo in range(0, len(pins), step):
+        s = pins[lo:lo + step]
+        k = len(s)
+        keep = np.ones((k, n))
+        keep[np.arange(k)[:, None], s] = 0.0
+        basis = np.empty((k, d, n))
+        v = basis[:, 0]
+        v[...] = np.where(keep > 0, start, 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            norm = np.sqrt(np.einsum("kn,kn->k", v, v))
+        ok = np.isfinite(norm) & (norm > 0)
+        v[~ok] = 0.0
+        v /= np.where(ok, norm, 1.0)[:, None]
+        # the tridiagonal Lanczos matrix; a vector past a breakdown is zero and
+        # its diagonal entry lies above every eigenvalue of M
+        h = np.zeros((k, d, d))
+        alive = ok
+        for j in range(d):
+            w = (v @ lap) * keep
+            h[:, j, j] = np.where(alive, np.einsum("kn,kn->k", v, w), top + 1.0)
+            if j + 1 == d:
+                break
+            w -= h[:, j, j, None] * v
+            if j:
+                w -= h[:, j, j - 1, None] * basis[:, j - 1]
+            beta = np.sqrt(np.einsum("kn,kn->k", w, w))
+            alive = alive & (beta > 1e-8 * max(1.0, top))
+            beta = np.where(alive, beta, 0.0)
+            h[:, j, j + 1] = h[:, j + 1, j] = beta
+            v = basis[:, j + 1]
+            np.multiply(w, np.where(alive, 1.0 / np.where(alive, beta, 1.0), 0.0)[:, None], out=v)
+        y = np.einsum("kj,kjn->kn", np.linalg.eigh(h)[1][:, :, 0], basis)
+        yy = np.einsum("kn,kn->k", y, y)
+        ymy = np.einsum("kn,kn->k", y, (y @ lap) * keep)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = ymy / yy + slack
+        out[lo:lo + step] = np.where(ok & (yy > 0) & np.isfinite(q), q, np.inf)
     return out
 
 

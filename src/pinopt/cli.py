@@ -1,8 +1,9 @@
 """Command-line front end: gen, analyze, select, sweep, simulate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or
-malformed input file), 3 budget refusal (exhaustive search too large,
-or a simulation over its step cap).
+malformed input file, or an output file that cannot be written), 3
+budget refusal (exhaustive search too large, or a simulation over its
+step cap).
 All output is deterministic for a fixed seed: repeated invocations are
 byte-identical.
 """
@@ -96,12 +97,20 @@ def _parse_pins(args, g: Graph) -> tuple[int, ...]:
         raise UsageError(str(exc)) from None
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write `text` to `path`; a file that cannot be written is a data error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(out, text)
 
 
 def _flag_values(args, command: str, flags) -> list:
@@ -347,8 +356,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     res = sync_mod.simulate(g, pins, dyn, cfg)
     if args.out_csv is not None:
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(res.to_csv())
+        _write_file(args.out_csv, res.to_csv())
     sys.stdout.write(res.summary_json() + "\n")
     return 0
 

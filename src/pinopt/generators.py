@@ -1,14 +1,16 @@
 """Deterministic graph generators for the test families.
 
 Random families take an integer seed and produce bit-identical edge
-sets across runs for the same arguments.
+sets across runs for the same arguments. Every family refuses more than
+``graphs.MAX_NODES`` nodes, the most ``parse_edge_list`` accepts, before
+it builds anything.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, build_graph
+from .graphs import MAX_NODES, Graph, build_graph
 
 __all__ = [
     "gen_star",
@@ -21,8 +23,14 @@ __all__ = [
 ]
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_NODES} nodes")
+
+
 def gen_star(n: int) -> Graph:
     """Star on n nodes, node 0 the center."""
+    _check_size(n)
     if n < 3:
         raise ValueError(f"star needs n >= 3, got n={n}")
     return build_graph(n, [(0, i) for i in range(1, n)])
@@ -34,6 +42,7 @@ def gen_double_star(k: int) -> Graph:
     Node 0 is the bridge, nodes 1 and k+2 are the hubs, nodes 2..k+1
     and k+3..2k+2 their leaves; n = 2k+3 in total.
     """
+    _check_size(2 * k + 3)
     if k < 1:
         raise ValueError(f"double star needs k >= 1 leaves per hub, got k={k}")
     hub_a, hub_b = 1, k + 2
@@ -44,12 +53,14 @@ def gen_double_star(k: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
+    _check_size(n)
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def gen_path(n: int) -> Graph:
+    _check_size(n)
     if n < 2:
         raise ValueError(f"path needs n >= 2, got n={n}")
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -65,6 +76,7 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> Graph:
     m0*(m0-1)/2 + m*(n-m0). While every existing node still has degree
     zero (only possible for m0 = 1) the draw falls back to uniform.
     """
+    _check_size(n)
     if not (1 <= m <= m0 < n):
         raise ValueError(f"need 1 <= m <= m0 < n, got m={m}, m0={m0}, n={n}")
     rng = np.random.default_rng(seed)
@@ -99,6 +111,7 @@ def gen_nw(n: int, k: int, p: float, seed: int) -> Graph:
     probability p. No lattice edge is ever removed, so the minimum
     degree stays >= k.
     """
+    _check_size(n)
     if k % 2 != 0 or k < 2:
         raise ValueError(f"lattice degree k must be even and >= 2, got k={k}")
     if not (k < n):
@@ -116,6 +129,7 @@ def gen_nw(n: int, k: int, p: float, seed: int) -> Graph:
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Independent edges with probability p on each of the n*(n-1)/2 pairs."""
+    _check_size(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not (0.0 <= p <= 1.0):

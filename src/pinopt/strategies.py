@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import pin_set_ceilings, upper_after_pin
+from .bounds import pin_set_ceilings, ritz_ceilings, upper_after_pin
 from .graphs import Graph, connected_components
 from .spectra import eig_sym_pairs
 
@@ -307,28 +307,36 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
-def _pruned_argmax(g: Graph, pins: np.ndarray, ceilings: np.ndarray) -> tuple[int, float]:
+def _pruned_argmax(g: Graph, pins: np.ndarray, ceilings: np.ndarray,
+                   start: np.ndarray) -> tuple[int, float]:
     """The winning row of `pins` (k x l node ids, in the order that breaks
     ties) and its lambda1, solving only the rows the ceilings leave open.
 
-    Rows are solved in descending order of their ceiling (row order
-    within equal ceilings), in stacked batches of 1, 2, 4, ... matrices
-    up to BATCH_BYTES, until the next ceiling is below best - TIE_TOL:
-    no row left can then come within TIE_TOL of the max. The winner is
-    the first row whose lambda1 is at least max - TIE_TOL, the same row
+    The row of highest ceiling is solved first. Every other row whose
+    ceiling still reaches best - TIE_TOL then gets the tighter
+    ``bounds.ritz_ceilings`` from the test vector `start`, and the rows
+    are solved in descending order of their ceiling (row order within
+    equal ceilings), in stacked batches of 2, 4, ... matrices up to
+    BATCH_BYTES, until the next ceiling is below best - TIE_TOL: no row
+    left can then come within TIE_TOL of the max. The winner is the
+    first row whose lambda1 is at least max - TIE_TOL, the same row
     that solving every row would give.
     """
     order = np.argsort(-ceilings, kind="stable")
-    sorted_ceilings = ceilings[order]
-    cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
     vals = np.full(len(pins), -np.inf)
-    best = -np.inf
-    start, size = 0, 1
-    while start < len(order) and sorted_ceilings[start] >= best - TIE_TOL:
-        batch = order[start:start + size][sorted_ceilings[start:start + size] >= best - TIE_TOL]
+    vals[order[0]] = g.context.grounded_lambda1s(pins[order[:1]])[0]
+    best = float(vals[order[0]])
+    rest = order[1:][ceilings[order[1:]] >= best - TIE_TOL]
+    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest], start, BATCH_BYTES))
+    rank = np.argsort(-tight, kind="stable")
+    order, sorted_ceilings = rest[rank], tight[rank]
+    cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
+    pos, size = 0, min(2, cap)
+    while pos < len(order) and sorted_ceilings[pos] >= best - TIE_TOL:
+        batch = order[pos:pos + size][sorted_ceilings[pos:pos + size] >= best - TIE_TOL]
         vals[batch] = g.context.grounded_lambda1s(pins[batch])
         best = max(best, float(vals[batch].max()))
-        start += size
+        pos += size
         size = min(2 * size, cap)
     win = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
     return win, float(vals[win])
@@ -343,9 +351,10 @@ def brute_force_max_lambda1(
     lambda1 is at least max - TIE_TOL, whatever order the sets are
     solved in. Pruning: every set gets the ceiling
     ``bounds.pin_set_ceilings`` (interlacing, min uncontrolled degree,
-    mean boundary weight), and sets are solved from the highest ceiling
-    down until no set left can reach the tie window. Refuses to start
-    when C(n, l) exceeds the budget.
+    mean boundary weight), the sets it leaves open after the first solve
+    get ``bounds.ritz_ceilings`` from the all-ones vector, and sets are
+    solved from the highest ceiling down until no set left can reach the
+    tie window. Refuses to start when C(n, l) exceeds the budget.
     """
     _check_l(g, l)
     count = math.comb(g.n, l)
@@ -357,7 +366,7 @@ def brute_force_max_lambda1(
         itertools.chain.from_iterable(itertools.combinations(range(g.n), l)),
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
-    win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos))
+    win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
     return SelectionResult(
         strategy="brute_force",
         l=l,
@@ -376,9 +385,10 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     least that round's max - TIE_TOL. Pruning: a round solves the
     current grounding once for its bottom eigenpair, bounds every
     candidate by ``bounds.upper_after_pin`` (round 0 uses the full
-    Laplacian's constant eigenvector, giving deg(v)/(n-1)), and solves
-    candidates from the highest bound down until none left can reach the
-    tie window. A baseline for the exhaustive search: never better,
+    Laplacian's constant eigenvector, giving deg(v)/(n-1)), tightens the
+    bounds the first solve leaves open with ``bounds.ritz_ceilings``
+    from the same eigenvector, and solves candidates from the highest
+    bound down until none left can reach the tie window. A baseline for the exhaustive search: never better,
     often close.
     """
     _check_l(g, l)
@@ -390,7 +400,9 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         rows = np.empty((len(free), k + 1), dtype=np.int64)
         rows[:, :k] = current
         rows[:, k] = free
-        win, val = _pruned_argmax(g, rows, upper_after_pin(m, lam, u))
+        start = np.zeros(g.n)
+        start[free] = u
+        win, val = _pruned_argmax(g, rows, upper_after_pin(m, lam, u), start)
         current.append(int(free[win]))
         if k + 1 < l:
             m = ctx.ground(current).matrix

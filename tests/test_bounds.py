@@ -10,13 +10,14 @@ from pinopt.bounds import (
     feedback_gain_bound,
     necessary_lambda2,
     pin_set_ceilings,
+    ritz_ceilings,
     upper_after_pin,
     upper_by_min_degree,
     upper_by_spectrum,
     upper_single_pin,
 )
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
-from pinopt.graphs import ground, laplacian, pin_set
+from pinopt.graphs import build_graph, ground, laplacian, pin_set
 from pinopt.spectra import eig_sym, eig_sym_pairs, lambda1
 
 TOL = 1e-9
@@ -117,6 +118,81 @@ def test_pin_set_ceilings_take_the_three_upper_bounds():
             want = min(upper_by_spectrum(g, l), upper_by_min_degree(g, row), avg)
             assert ceiling == pytest.approx(want, abs=1e-12)
             assert lambda1(ground(g, row).matrix) <= ceiling + TOL
+
+
+def _ritz_cases():
+    """(graph, pins, start) over seeded random groundings: connected graphs,
+    graphs with several components and isolated nodes, edgeless graphs,
+    l from 1 to n-1; starts all-ones, random, and greedy's (the bottom
+    eigenvector of one grounding, each row pinning one node more)."""
+    rng = np.random.default_rng(36)
+    graphs = [rand_connected(rng, int(rng.integers(3, 30)), extra=int(rng.integers(0, 40)))
+              for _ in range(20)]
+    for _ in range(10):
+        n = int(rng.integers(3, 25))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2))
+        graphs.append(build_graph(n, [(u, v) for u, v in pairs if u != v]))
+    graphs += [build_graph(2, []), build_graph(6, []), build_graph(2, [(0, 1)]),
+               build_graph(7, [(0, 1), (1, 2), (4, 5)]), gen_star(7), gen_complete(6)]
+    for g in graphs:
+        for l in sorted({1, g.n - 1, int(rng.integers(1, g.n))}):
+            rows = np.array([rand_pins(rng, g.n, l) for _ in range(6)])
+            yield g, rows, np.ones(g.n)
+            yield g, rows, rng.standard_normal(g.n)
+            if l > 1:
+                current = rows[0, :-1]
+                grounded = ground(g, current)
+                start = np.zeros(g.n)
+                start[list(grounded.retained)] = eig_sym_pairs(grounded.matrix)[1][:, 0]
+                free = np.flatnonzero(grounded.keep)
+                yield g, np.column_stack([np.tile(current, (len(free), 1)), free]), start
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 20], ids=["one_row", "all_rows"])
+def test_ritz_ceilings_bound_lambda1(chunk_bytes):
+    cases = 0
+    for g, rows, start in _ritz_cases():
+        got = ritz_ceilings(g, rows, start, chunk_bytes)
+        for row, ceiling in zip(rows, got):
+            m = ground(g, row).matrix
+            assert ceiling >= np.linalg.eigvalsh(m)[0], (g, row)
+            # never looser than the quotient of the start vector itself
+            x = np.delete(start, row)
+            if np.any(x):
+                assert ceiling <= x @ m @ x / (x @ x) + TOL
+            cases += 1
+    assert cases > 1000
+
+
+def test_ritz_ceilings_tighten_the_closed_forms():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n = int(rng.integers(4, 30))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, 2 * n)))
+        l = int(rng.integers(1, n - 1))
+        rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
+        # the all-ones start: cut(S) / (n - l), the mean boundary weight
+        cut = [boundary_bounds(g, row)[1] for row in rows]
+        assert np.all(ritz_ceilings(g, rows, np.ones(n), 1 << 20) <= np.array(cut) + TOL)
+        # greedy's start on the full Laplacian: the single-pin cap deg(v) / (n - 1)
+        single = ritz_ceilings(g, np.arange(n)[:, None], np.full(n, n ** -0.5), 1 << 20)
+        assert np.all(single <= upper_after_pin(laplacian(g), 0.0, np.full(n, n ** -0.5)) + TOL)
+
+
+def test_ritz_ceilings_are_infinite_without_a_test_vector():
+    g = gen_path(5)
+    rows = np.array([[0, 1], [2, 4], [1, 3]])
+    # zero on the kept nodes, zero everywhere, not finite on a kept node
+    on_pins = np.zeros(5)
+    on_pins[[0, 1]] = 1.0
+    assert ritz_ceilings(g, rows[:1], on_pins, 1 << 20).tolist() == [np.inf]
+    assert ritz_ceilings(g, rows, np.zeros(5), 1 << 20).tolist() == [np.inf] * 3
+    bad = np.ones(5)
+    bad[3] = np.nan
+    got = ritz_ceilings(g, rows, bad, 1 << 20)
+    assert got[0] == np.inf and got[1] == np.inf and np.isfinite(got[2])
+    bad[3] = np.inf
+    assert ritz_ceilings(g, rows[:2], bad, 1 << 20).tolist() == [np.inf] * 2
 
 
 def test_necessary_lambda2_threshold():

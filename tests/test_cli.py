@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import pinopt
 from pinopt import generators
 from pinopt.cli import SWEEP_COLUMNS, build_parser, main
-from pinopt.graphs import format_edge_list
+from pinopt.graphs import MAX_NODES, format_edge_list
 
 
 def run_cli(*argv, cwd=None):
@@ -294,6 +295,48 @@ def test_node_count_over_the_limit_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "node count 100000000 exceeds the limit of 10000 nodes" in err
     assert "Traceback" not in err
+
+
+# per subcommand, its argv up to the output file ("GRAPH" stands for the input)
+UNWRITABLE = {
+    "gen": ["gen", "--family", "star", "--n", "6", "--out"],
+    "sweep": ["sweep", "GRAPH", "--strategy", "greedy", "--l-range", "1:2", "--out"],
+    "simulate": ["simulate", "GRAPH", "--pins", "0", "--dynamics", "linear_unstable",
+                 "--controller", "linear", "--c", "1.0", "--dt", "0.01", "--T", "0.1", "--out-csv"],
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE)
+def test_unwritable_output_is_a_data_error(double_star_file, tmp_path, command, capsys):
+    path = str(tmp_path / "missing" / "out.txt")
+    argv = [str(double_star_file) if a == "GRAPH" else a for a in UNWRITABLE[command]]
+    assert main(argv + [path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+# (flag, value) per generator parameter, for one node more than graphs.MAX_NODES
+OVERSIZE = {
+    "star": [("n", MAX_NODES + 1)],
+    "double_star": [("k", (MAX_NODES - 2) // 2)],  # n = 2k + 3
+    "complete": [("n", MAX_NODES + 1)],
+    "path": [("n", MAX_NODES + 1)],
+    "ba": [("n", MAX_NODES + 1), ("m0", 4), ("m", 2)],
+    "nw": [("n", MAX_NODES + 1), ("K", 4), ("p", 0.5)],
+    "erdos_renyi": [("n", MAX_NODES + 1), ("p", 0.5)],
+}
+
+
+@pytest.mark.parametrize("family", OVERSIZE)
+def test_gen_refuses_more_than_max_nodes_at_once(family, capsys):
+    argv = ["gen", "--family", family] + [a for f, v in OVERSIZE[family] for a in (f"--{f}", str(v))]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0  # nothing was generated
+    assert capsys.readouterr() == (
+        "", f"error: gen {family}: n={MAX_NODES + 1} exceeds the limit of {MAX_NODES} nodes\n")
 
 
 def test_simulate_over_the_step_cap_is_a_budget_refusal(double_star_file, capsys):

@@ -3,11 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+import pinopt
 import pinopt.strategies
 from conftest import betweenness_by_enumeration, rand_connected
 from test_acceptance import _suite
-from pinopt.generators import gen_complete, gen_double_star, gen_nw, gen_path, gen_star
-from pinopt.graphs import build_graph, ground
+from pinopt.generators import (
+    gen_ba,
+    gen_complete,
+    gen_double_star,
+    gen_erdos_renyi,
+    gen_nw,
+    gen_path,
+    gen_star,
+)
+from pinopt.graphs import GraphContext, build_graph, ground
 from pinopt.spectra import lambda1
 from pinopt.strategies import (
     BRUTE_FORCE_BUDGET,
@@ -407,6 +416,49 @@ def test_pruned_greedy_equals_unpruned_greedy():
         for l in range(1, g.n):
             res = greedy_max_lambda1(g, l)
             assert (res.pin_set, res.lambda1) == _plain_greedy(g, l), (g, l)
+
+
+def _family(i, n, seed):
+    """BA, NW or ER by i, at mean degree about 6, like the benchmark's graphs."""
+    if i % 3 == 0:
+        return gen_ba(n, 3, 3, seed)
+    if i % 3 == 1:
+        return gen_nw(n, 4, 2.5 / n, seed)
+    return gen_erdos_renyi(n, 6.0 / n, seed)
+
+
+def test_pruned_brute_force_equals_plain_enumeration_at_deck_size():
+    cases = [(pinopt.load_dolphins(), 2)] + [
+        (_family(i, n, 50 + i), l)
+        for i, (n, l) in enumerate([(30, 3), (34, 3), (36, 3), (38, 2), (43, 2), (45, 2)])]
+    for g, l in cases:
+        res = brute_force_max_lambda1(g, l)
+        assert (res.pin_set, res.lambda1) == _plain_brute_force(g, l), (g.n, l)
+
+
+def test_pruned_greedy_equals_unpruned_greedy_at_deck_size():
+    for i, n in enumerate((60, 104, 150)):
+        g = _family(i, n, 60 + i)
+        res = greedy_max_lambda1(g, 3)
+        assert (res.pin_set, res.lambda1) == _plain_greedy(g, 3), n
+
+
+def test_ritz_ceilings_prune_most_rows(monkeypatch):
+    # rows solved per search: the closed-form ceilings alone leave 260 of the
+    # C(62, 2) = 1891 dolphin pairs and 33 greedy candidates to solve
+    solved = []
+    solve = GraphContext.grounded_lambda1s
+
+    def counted(ctx, pins):
+        solved.append(len(pins))
+        return solve(ctx, pins)
+
+    monkeypatch.setattr(GraphContext, "grounded_lambda1s", counted)
+    brute_force_max_lambda1(pinopt.load_dolphins(), 2)
+    assert sum(solved) <= 20
+    solved.clear()
+    greedy_max_lambda1(_family(1, 104, 61), 3)
+    assert sum(solved) <= 12
 
 
 def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
