@@ -10,7 +10,6 @@ network to validate the spectral criterion.
 
 from .graphs import (
     Graph,
-    GraphContext,
     GroundedLaplacian,
     boundary_weights,
     build_graph,

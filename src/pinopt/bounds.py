@@ -71,12 +71,12 @@ def upper_by_spectrum(g: Graph, l: int) -> float:
     """
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
-    return float(g.context.spectrum[l])
+    return float(g.spectrum[l])
 
 
 def upper_by_min_degree(g: Graph, s: Iterable[int]) -> float:
     """Minimum degree among uncontrolled nodes; lambda1 never exceeds it."""
-    return float(g.degrees[g.context.keep(pin_set(g, s))].min())
+    return float(g.degrees[ground(g, s).keep].min())
 
 
 def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
@@ -84,16 +84,15 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
 
     The min is a lower bound on lambda1, the mean an upper bound.
     """
-    ctx = g.context
-    w = ctx.boundary_weights(ctx.keep(pin_set(g, s)))
+    w = ground(g, s).weights
     return float(w.min()), float(w.mean())
 
 
-def grounded_bounds(g: Graph, grounded: GroundedLaplacian) -> tuple[float, float, float]:
+def grounded_bounds(grounded: GroundedLaplacian) -> tuple[float, float, float]:
     """(min boundary weight, min uncontrolled degree, mean boundary weight)
-    of one grounding of g: the pin-set-dependent bounds, taken together."""
+    of one grounding: the pin-set-dependent bounds, taken together."""
     w = grounded.weights
-    return float(w.min()), float(g.degrees[grounded.keep].min()), float(w.mean())
+    return float(w.min()), float(grounded.graph.degrees[grounded.keep].min()), float(w.mean())
 
 
 # bytes of the (rows, l, l) blocks pin_set_ceilings gathers at a time
@@ -109,7 +108,6 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     l+1 lowest-degree nodes not in S. Rows are taken in chunks, so no
     k x n array is formed.
     """
-    ctx = g.context
     k, l = pins.shape
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
@@ -119,10 +117,10 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     step = max(1, _CEILING_CHUNK_BYTES // (8 * l * (l + 1)))
     for start in range(0, k, step):
         s = pins[start:start + step]
-        cut = ctx.laplacian[s[:, :, None], s[:, None, :]].sum(axis=(1, 2))
+        cut = g.laplacian[s[:, :, None], s[:, None, :]].sum(axis=(1, 2))
         free = np.argmin((s[:, :, None] == low).any(axis=1), axis=1)
         out[start:start + step] = np.minimum(deg[low[free]], cut / (g.n - l))
-    return np.minimum(out, ctx.spectrum[l])
+    return np.minimum(out, g.spectrum[l])
 
 
 def upper_after_pin(m: np.ndarray, lam: float, u: np.ndarray) -> np.ndarray:
@@ -146,9 +144,11 @@ def upper_after_pin(m: np.ndarray, lam: float, u: np.ndarray) -> np.ndarray:
 
 # dimension of the Krylov space ritz_ceilings searches
 RITZ_DEPTH = 4
+# bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
+RITZ_CHUNK_BYTES = 128 * 1024
 
 
-def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray, chunk_bytes: int) -> np.ndarray:
+def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
     of that grounding, tighter than the Rayleigh quotient of `start`.
 
@@ -162,15 +162,15 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray, chunk_bytes: in
     product, plus `4 * n * eps * max(1, 2 * dmax)` for its rounding, so
     the bound holds however inexact the basis is. A row whose x is zero
     or not finite gets +inf. Rows are taken in chunks whose temporaries
-    stay within `chunk_bytes`.
+    stay within RITZ_CHUNK_BYTES.
     """
-    lap = g.context.laplacian
+    lap = g.laplacian
     n, d = g.n, RITZ_DEPTH
     # 2 * dmax bounds every eigenvalue of M (Gershgorin)
     top = 2.0 * float(g.degrees.max(initial=0))
     slack = 4.0 * n * np.finfo(float).eps * max(1.0, top)
     out = np.empty(len(pins))
-    step = max(1, chunk_bytes // (8 * n * (d + 5)))
+    step = max(1, RITZ_CHUNK_BYTES // (8 * n * (d + 5)))
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]
         k = len(s)
@@ -230,7 +230,7 @@ def necessary_lambda2(g: Graph, alpha_over_c: float) -> bool:
     If it does not, no single pinned node can satisfy the criterion
     lambda1 > alpha/c; this is necessary for l=1, not sufficient.
     """
-    return bool(g.context.spectrum[1] > alpha_over_c)
+    return bool(g.spectrum[1] > alpha_over_c)
 
 
 def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> float:
@@ -252,7 +252,7 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
             "gain bound needs c * lambda1(grounded) > alpha; "
             f"got c*lambda1={c * grounded.lambda1:.6g} vs alpha={alpha:.6g}"
         )
-    lap = g.context.laplacian
+    lap = g.laplacian
     p = np.array(pins, dtype=np.int64)
     r = np.array(grounded.retained, dtype=np.int64)
     l_pp = lap[np.ix_(p, p)]
@@ -294,7 +294,7 @@ def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) 
     upper_spec = upper_by_spectrum(g, len(pins))
     grounded = ground(g, pins)
     lam = grounded.lambda1
-    lo, kmin, avg = grounded_bounds(g, grounded)
+    lo, kmin, avg = grounded_bounds(grounded)
     return BoundReport(
         lambda1=lam,
         lower_min_boundary=lo,

@@ -217,7 +217,7 @@ def _pin_set_columns(g: Graph, pins) -> tuple[float, float, float, float]:
     """lambda1 and the (lower, kmin, avg) bounds, all from one grounding,
     which is freed on return so that no two grounded matrices coexist."""
     grounded = ground(g, pins)
-    return (grounded.lambda1, *bounds_mod.grounded_bounds(g, grounded))
+    return (grounded.lambda1, *bounds_mod.grounded_bounds(grounded))
 
 
 def sweep_rows(

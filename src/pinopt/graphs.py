@@ -4,14 +4,15 @@ Graphs are simple and unweighted, with nodes 0..n-1 and a dense numpy
 representation throughout; everything here targets networks of up to a
 few thousand nodes, where dense linear algebra is the fast path.
 
-Per-graph quantities live in one :class:`GraphContext`, reached as
-``g.context``: the degrees, the Laplacian and the full Laplacian
-spectrum, each computed on first use and then kept, and one
-:class:`GroundedLaplacian` per pin set. The ``(g, pins)`` functions
-here and in ``bounds`` and ``strategies`` go through it, so a caller
-that grounds many pin sets of one graph builds the Laplacian and its
-spectrum once. Two rules keep the output byte-identical to a
-from-scratch build:
+Two objects carry the method. A :class:`Graph` keeps its per-graph
+quantities, each computed on first use and then kept: the degrees, the
+edge array, the Laplacian and its full spectrum (both read-only).
+:func:`ground` is the one way to pin a set of nodes: it validates the
+pins and returns a :class:`GroundedLaplacian`, which holds only the
+graph and the mask of unpinned nodes and computes its matrix, boundary
+weights and lambda1 on first use. A caller that grounds many pin sets
+of one graph therefore builds the Laplacian and its spectrum once. Two
+rules keep the output byte-identical to a from-scratch build:
 
 - The Laplacian's zero off-diagonal entries are ``-0.0``, as negating
   the adjacency matrix gives. LAPACK's Householder reflections see the
@@ -32,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "GraphContext",
     "GroundedLaplacian",
     "build_graph",
     "laplacian",
@@ -91,9 +91,46 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def context(self) -> GraphContext:
-        """Cached Laplacian, spectrum and groundings of this graph."""
-        return GraphContext(self)
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array."""
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """L = D - A, read-only; zero off-diagonal entries are -0.0 (see the module notes)."""
+        u, v = self.edge_array.T
+        lap = np.full((self.n, self.n), -0.0)
+        lap[u, v] = -1.0
+        lap[v, u] = -1.0
+        lap[np.diag_indices(self.n)] = self.degrees.astype(np.float64)
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """All Laplacian eigenvalues, ascending, read-only.
+
+        No symmetry check (``spectra.eig_sym`` has one): the Laplacian is
+        symmetric by construction and read-only.
+        """
+        vals = np.linalg.eigvalsh(self.laplacian)
+        vals.flags.writeable = False
+        return vals
+
+    def grounded_lambda1s(self, pins: np.ndarray) -> np.ndarray:
+        """lambda1 of the grounding of each row of `pins` (k x l distinct
+        valid node ids), from one stacked eigensolve.
+
+        Each value equals ``ground(self, row).lambda1`` bit for bit: the
+        stacked matrices are the same submatrices, and LAPACK solves them
+        one by one. The symmetry check is skipped, as every matrix is a
+        block of the Laplacian.
+        """
+        k = len(pins)
+        keep = np.ones((k, self.n), dtype=bool)
+        keep[np.arange(k)[:, None], pins] = False
+        idx = np.nonzero(keep)[1].reshape(k, -1)
+        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0]
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -118,9 +155,9 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as a dense float array.
 
-    A fresh, writable copy of ``g.context.laplacian``.
+    A fresh, writable copy of ``g.laplacian``.
     """
-    return g.context.laplacian.copy()
+    return g.laplacian.copy()
 
 
 def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -139,115 +176,54 @@ def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     return tuple(s)
 
 
-class GraphContext:
-    """Per-graph quantities, each computed on first use and then kept.
-
-    Holds the degrees and edge array of one graph, its Laplacian and
-    full spectrum (both read-only), and grounds pin sets against them.
-    It keeps no reference to the graph itself, so the pair is freed by
-    reference counting alone, with no cycle left for the collector.
-    """
-
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.degrees = g.degrees
-        self.edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        """L = D - A; zero off-diagonal entries are -0.0 (see the module notes)."""
-        u, v = self.edges.T
-        lap = np.full((self.n, self.n), -0.0)
-        lap[u, v] = -1.0
-        lap[v, u] = -1.0
-        lap[np.diag_indices(self.n)] = self.degrees.astype(np.float64)
-        lap.flags.writeable = False
-        return lap
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """All Laplacian eigenvalues, ascending.
-
-        No symmetry check (``spectra.eig_sym`` has one): the Laplacian is
-        symmetric by construction and read-only.
-        """
-        vals = np.linalg.eigvalsh(self.laplacian)
-        vals.flags.writeable = False
-        return vals
-
-    def keep(self, pins: Iterable[int]) -> np.ndarray:
-        """Boolean mask of the nodes not in `pins` (valid node ids)."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[list(pins)] = False
-        return keep
-
-    def ground(self, pins: Iterable[int]) -> GroundedLaplacian:
-        """Delete the rows and columns of `pins` (valid node ids)."""
-        keep = self.keep(pins)
-        idx = np.flatnonzero(keep)
-        return GroundedLaplacian(self.laplacian[np.ix_(idx, idx)], keep, self)
-
-    def grounded_lambda1s(self, pins: np.ndarray) -> np.ndarray:
-        """lambda1 of the grounding of each row of `pins` (k x l distinct
-        valid node ids), from one stacked eigensolve.
-
-        Each value equals ``ground(row).lambda1`` bit for bit: the stacked
-        matrices are the same submatrices, and LAPACK solves them one by
-        one. The symmetry check is skipped, as every matrix is a block of
-        the Laplacian.
-        """
-        k = len(pins)
-        keep = np.ones((k, self.n), dtype=bool)
-        keep[np.arange(k)[:, None], pins] = False
-        idx = np.nonzero(keep)[1].reshape(k, -1)
-        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0]
-
-    def boundary_weights(self, keep: np.ndarray) -> np.ndarray:
-        """Pinned-neighbor counts (int64) of the nodes that `keep` marks, ascending id."""
-        pinned = ~keep
-        u, v = self.edges.T
-        w = np.bincount(v[pinned[u]], minlength=self.n) + np.bincount(u[pinned[v]], minlength=self.n)
-        return w[keep].astype(np.int64)
-
-
 @dataclass(frozen=True)
 class GroundedLaplacian:
     """Principal submatrix of the Laplacian after deleting pinned rows/cols.
 
-    `keep` marks the surviving (uncontrolled) nodes among all n;
-    `retained` lists their original ids in ascending order, and row/col
-    i of `matrix` corresponds to retained[i]. `weights[i]` counts the
-    pinned neighbors of retained[i]; the matrix equals the Laplacian of
-    the induced uncontrolled subgraph plus diag(weights). The weights
-    and the smallest eigenvalue are computed on first use.
+    `keep` marks the surviving (uncontrolled) nodes among all n of
+    `graph`; `retained` lists their original ids in ascending order, and
+    row/col i of `matrix` corresponds to retained[i]. `weights[i]`
+    counts the pinned neighbors of retained[i]; the matrix equals the
+    Laplacian of the induced uncontrolled subgraph plus diag(weights).
+    Everything but `size` is computed on first use. Build instances
+    through :func:`ground`, which validates the pins.
     """
 
-    matrix: np.ndarray
+    graph: Graph = field(repr=False)
     keep: np.ndarray
-    context: GraphContext = field(repr=False, compare=False)
 
     @cached_property
     def retained(self) -> tuple[int, ...]:
         return tuple(int(v) for v in np.flatnonzero(self.keep))
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        idx = np.flatnonzero(self.keep)
+        return self.graph.laplacian[np.ix_(idx, idx)]
+
+    @cached_property
     def weights(self) -> np.ndarray:
-        return self.context.boundary_weights(self.keep)
+        n, pinned = self.graph.n, ~self.keep
+        u, v = self.graph.edge_array.T
+        w = np.bincount(v[pinned[u]], minlength=n) + np.bincount(u[pinned[v]], minlength=n)
+        return w[self.keep].astype(np.int64)
 
     @cached_property
     def lambda1(self) -> float:
-        """Smallest eigenvalue of `matrix`, a block of the context's
+        """Smallest eigenvalue of `matrix`, a block of the graph's
         Laplacian, so symmetric by construction and not checked again."""
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return int(np.count_nonzero(self.keep))
 
 
 def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:
     """Delete the rows and columns of the pinned nodes from laplacian(g)."""
-    return g.context.ground(pin_set(g, s))
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(pin_set(g, s))] = False
+    return GroundedLaplacian(g, keep)
 
 
 def boundary_weights(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -255,8 +231,7 @@ def boundary_weights(g: Graph, s: Iterable[int]) -> np.ndarray:
 
     Ordered like GroundedLaplacian.retained (ascending original id).
     """
-    ctx = g.context
-    return ctx.boundary_weights(ctx.keep(pin_set(g, s)))
+    return ground(g, s).weights
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

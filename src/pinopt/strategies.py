@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import pin_set_ceilings, ritz_ceilings, upper_after_pin
-from .graphs import Graph, connected_components
-from .spectra import eig_sym_pairs
+from .graphs import Graph, connected_components, ground
 
 __all__ = [
     "BudgetError",
@@ -124,7 +123,7 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
         pins = degree_mix_pins(g, cfg.l, cfg.q, cfg.seed, r)
         if first is None:
             first = pins
-        runs.append(g.context.ground(pins).lambda1)
+        runs.append(ground(g, pins).lambda1)
     assert first is not None
     return SelectionResult(
         strategy="degree_mix",
@@ -224,7 +223,7 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
         top = bc[left].max()
         left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
     pins = tuple(int(v) for v in np.flatnonzero(~left))
-    lam = g.context.ground(pins).lambda1
+    lam = ground(g, pins).lambda1
     return SelectionResult(
         strategy="betweenness",
         l=l,
@@ -294,7 +293,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
             active -= removed
         if len(pins) < g.n:
             sel = tuple(sorted(pins))
-            lam = g.context.ground(sel).lambda1
+            lam = ground(g, sel).lambda1
             return SelectionResult(
                 strategy="dominating_partition",
                 l=len(sel),
@@ -324,17 +323,17 @@ def _pruned_argmax(g: Graph, pins: np.ndarray, ceilings: np.ndarray,
     """
     order = np.argsort(-ceilings, kind="stable")
     vals = np.full(len(pins), -np.inf)
-    vals[order[0]] = g.context.grounded_lambda1s(pins[order[:1]])[0]
+    vals[order[0]] = g.grounded_lambda1s(pins[order[:1]])[0]
     best = float(vals[order[0]])
     rest = order[1:][ceilings[order[1:]] >= best - TIE_TOL]
-    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest], start, BATCH_BYTES))
+    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest], start))
     rank = np.argsort(-tight, kind="stable")
     order, sorted_ceilings = rest[rank], tight[rank]
     cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
     pos, size = 0, min(2, cap)
     while pos < len(order) and sorted_ceilings[pos] >= best - TIE_TOL:
         batch = order[pos:pos + size][sorted_ceilings[pos:pos + size] >= best - TIE_TOL]
-        vals[batch] = g.context.grounded_lambda1s(pins[batch])
+        vals[batch] = g.grounded_lambda1s(pins[batch])
         best = max(best, float(vals[batch].max()))
         pos += size
         size = min(2 * size, cap)
@@ -392,11 +391,10 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     often close.
     """
     _check_l(g, l)
-    ctx = g.context
     current: list[int] = []
-    m, lam, u = ctx.laplacian, 0.0, np.full(g.n, 1.0 / math.sqrt(g.n))
+    free = np.arange(g.n)
+    m, lam, u = g.laplacian, 0.0, np.full(g.n, 1.0 / math.sqrt(g.n))
     for k in range(l):
-        free = np.flatnonzero(ctx.keep(current))
         rows = np.empty((len(free), k + 1), dtype=np.int64)
         rows[:, :k] = current
         rows[:, k] = free
@@ -405,8 +403,10 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         win, val = _pruned_argmax(g, rows, upper_after_pin(m, lam, u), start)
         current.append(int(free[win]))
         if k + 1 < l:
-            m = ctx.ground(current).matrix
-            vals, vecs = eig_sym_pairs(m)
+            grounded = ground(g, current)
+            free, m = np.flatnonzero(grounded.keep), grounded.matrix
+            # a block of the read-only Laplacian: symmetric, so no check
+            vals, vecs = np.linalg.eigh(m)
             lam, u = float(vals[0]), vecs[:, 0]
     # the last round solved the grounding of exactly this set
     return SelectionResult(

@@ -222,7 +222,7 @@ class SimResult:
 
 def _closed_loop(g: Graph, pin_idx: np.ndarray, a: float, c: float, d: float) -> np.ndarray:
     """a*I - c*(L + D), D carrying d at the pinned diagonal entries."""
-    m = -c * g.context.laplacian
+    m = -c * g.laplacian
     m[pin_idx, pin_idx] -= c * d
     m[np.diag_indices(g.n)] += a
     return m
@@ -267,7 +267,7 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     pins = pin_set(g, s)
     pin_idx = np.array(pins, dtype=np.int64)
     n = g.n
-    lap = g.context.laplacian
+    lap = g.laplacian
     p = dyn.p
     c = cfg.c
     adaptive = cfg.controller == "adaptive"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pinopt.bounds
 from conftest import rand_connected, rand_pins
 from pinopt.bounds import (
     bound_report,
@@ -149,10 +150,11 @@ def _ritz_cases():
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20], ids=["one_row", "all_rows"])
-def test_ritz_ceilings_bound_lambda1(chunk_bytes):
+def test_ritz_ceilings_bound_lambda1(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(pinopt.bounds, "RITZ_CHUNK_BYTES", chunk_bytes)
     cases = 0
     for g, rows, start in _ritz_cases():
-        got = ritz_ceilings(g, rows, start, chunk_bytes)
+        got = ritz_ceilings(g, rows, start)
         for row, ceiling in zip(rows, got):
             m = ground(g, row).matrix
             assert ceiling >= np.linalg.eigvalsh(m)[0], (g, row)
@@ -173,9 +175,9 @@ def test_ritz_ceilings_tighten_the_closed_forms():
         rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
         # the all-ones start: cut(S) / (n - l), the mean boundary weight
         cut = [boundary_bounds(g, row)[1] for row in rows]
-        assert np.all(ritz_ceilings(g, rows, np.ones(n), 1 << 20) <= np.array(cut) + TOL)
+        assert np.all(ritz_ceilings(g, rows, np.ones(n)) <= np.array(cut) + TOL)
         # greedy's start on the full Laplacian: the single-pin cap deg(v) / (n - 1)
-        single = ritz_ceilings(g, np.arange(n)[:, None], np.full(n, n ** -0.5), 1 << 20)
+        single = ritz_ceilings(g, np.arange(n)[:, None], np.full(n, n ** -0.5))
         assert np.all(single <= upper_after_pin(laplacian(g), 0.0, np.full(n, n ** -0.5)) + TOL)
 
 
@@ -185,14 +187,14 @@ def test_ritz_ceilings_are_infinite_without_a_test_vector():
     # zero on the kept nodes, zero everywhere, not finite on a kept node
     on_pins = np.zeros(5)
     on_pins[[0, 1]] = 1.0
-    assert ritz_ceilings(g, rows[:1], on_pins, 1 << 20).tolist() == [np.inf]
-    assert ritz_ceilings(g, rows, np.zeros(5), 1 << 20).tolist() == [np.inf] * 3
+    assert ritz_ceilings(g, rows[:1], on_pins).tolist() == [np.inf]
+    assert ritz_ceilings(g, rows, np.zeros(5)).tolist() == [np.inf] * 3
     bad = np.ones(5)
     bad[3] = np.nan
-    got = ritz_ceilings(g, rows, bad, 1 << 20)
+    got = ritz_ceilings(g, rows, bad)
     assert got[0] == np.inf and got[1] == np.inf and np.isfinite(got[2])
     bad[3] = np.inf
-    assert ritz_ceilings(g, rows[:2], bad, 1 << 20).tolist() == [np.inf] * 2
+    assert ritz_ceilings(g, rows[:2], bad).tolist() == [np.inf] * 2
 
 
 def test_necessary_lambda2_threshold():

@@ -1,9 +1,10 @@
-"""The per-graph context against the from-scratch algorithm it replaced.
+"""A graph's cached quantities and its groundings against the
+from-scratch algorithm they replaced.
 
 The reference below rebuilds the Laplacian from the adjacency matrix for
 every call, grounds with an explicit keep list and counts boundary
 weights with a neighbor loop. Every comparison is exact (==), because
-the context must reproduce the CLI's output byte for byte.
+the caches must reproduce the CLI's output byte for byte.
 """
 
 import gc
@@ -50,19 +51,20 @@ def random_cases(seed, count, n_max=30):
 def test_context_laplacian_and_spectrum_match_reference_bits():
     for g, _ in random_cases(41, 40):
         ref = ref_laplacian(g)
-        assert same_bits(g.context.laplacian, ref)
+        assert same_bits(g.laplacian, ref)
         assert same_bits(laplacian(g), ref)
-        assert np.array_equal(g.context.spectrum, np.linalg.eigvalsh(ref))
-        assert g.context.degrees is g.degrees
+        assert np.array_equal(g.spectrum, np.linalg.eigvalsh(ref))
+        assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [list(e) for e in g.edges]
 
 
 def test_grounding_matches_reference_exactly():
     for g, pins in random_cases(42, 60):
         sub, keep, weights = ref_ground(g, pins)
         gl = ground(g, pins)
+        assert gl.size == len(keep)
+        assert "matrix" not in vars(gl)  # size is read off the mask
         assert same_bits(gl.matrix, sub)
         assert gl.retained == keep
-        assert gl.size == len(keep)
         assert gl.weights.dtype == np.int64
         assert np.array_equal(gl.weights, weights)
         assert boundary_weights(g, pins).dtype == np.int64
@@ -80,7 +82,7 @@ def test_bounds_match_reference_exactly():
         assert boundary_bounds(g, pins) == (lo, avg)
         assert upper_by_min_degree(g, pins) == kmin
         assert upper_by_spectrum(g, len(pins)) == spec
-        assert grounded_bounds(g, ground(g, pins)) == (lo, kmin, avg)
+        assert grounded_bounds(ground(g, pins)) == (lo, kmin, avg)
         rep = bound_report(g, pins, alpha_over_c=0.5)
         assert (rep.lambda1, rep.lower_min_boundary, rep.upper_kmin) == (lam, lo, kmin)
         assert (rep.upper_avg_boundary, rep.upper_spectrum) == (avg, spec)
@@ -89,7 +91,7 @@ def test_bounds_match_reference_exactly():
 
 def test_edgeless_graph_grounds_with_zero_weights():
     g = build_graph(3, [])
-    assert same_bits(g.context.laplacian, ref_laplacian(g))
+    assert same_bits(g.laplacian, ref_laplacian(g))
     gl = ground(g, [1])
     assert gl.weights.dtype == np.int64 and gl.weights.tolist() == [0, 0]
     assert "-0.0" not in bound_report(g, [1]).to_json()
@@ -97,22 +99,22 @@ def test_edgeless_graph_grounds_with_zero_weights():
 
 def test_cached_arrays_are_read_only_and_copies_are_not():
     g = rand_connected(np.random.default_rng(44), 12, extra=5)
-    assert not g.context.laplacian.flags.writeable
-    assert not g.context.spectrum.flags.writeable
+    assert not g.laplacian.flags.writeable
+    assert not g.spectrum.flags.writeable
     lap = laplacian(g)
     lap[0, 0] = 99.0
-    assert g.context.laplacian[0, 0] == g.degrees[0]
+    assert g.laplacian[0, 0] == g.degrees[0]
     assert ground(g, [0]).matrix.flags.writeable
 
 
-def test_context_is_freed_with_its_graph_without_the_cycle_collector():
+def test_graph_and_grounding_are_freed_without_the_cycle_collector():
     g = rand_connected(np.random.default_rng(45), 20, extra=10)
-    ref = weakref.ref(g.context)
-    ground(g, [0, 1]).weights  # fill every cache
-    g.context.spectrum
+    gl = ground(g, [0, 1])
+    gl.weights, gl.lambda1, g.spectrum  # fill every cache
+    refs = [weakref.ref(g), weakref.ref(gl), weakref.ref(g.laplacian)]
     gc.disable()
     try:
-        del g
-        assert ref() is None
+        del g, gl
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()

@@ -72,7 +72,7 @@ def test_eig_sym_input_validation():
 @pytest.mark.parametrize("helper", [eig_sym, eig_sym_pairs])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_public_helpers_reject_asymmetric_and_non_finite_input(helper, bad):
-    # the graph context solves its Laplacian blocks without this check;
+    # a graph solves the blocks of its own Laplacian without this check;
     # matrices from outside still get it
     with pytest.raises(ValueError, match="not symmetric"):
         helper(np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]]))

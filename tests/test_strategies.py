@@ -16,7 +16,7 @@ from pinopt.generators import (
     gen_path,
     gen_star,
 )
-from pinopt.graphs import GraphContext, build_graph, ground
+from pinopt.graphs import Graph, build_graph, ground
 from pinopt.spectra import lambda1
 from pinopt.strategies import (
     BRUTE_FORCE_BUDGET,
@@ -376,7 +376,7 @@ def test_greedy_never_beats_brute_force():
 
 def _plain_brute_force(g, l):
     """Solve every set; the smallest set within TIE_TOL of the max wins."""
-    vals = {combo: g.context.ground(combo).lambda1
+    vals = {combo: ground(g, combo).lambda1
             for combo in itertools.combinations(range(g.n), l)}
     top = max(vals.values())
     best = min(combo for combo, val in vals.items() if val >= top - TIE_TOL)
@@ -387,11 +387,11 @@ def _plain_greedy(g, l):
     """Solve every candidate each round; the smallest id within TIE_TOL of the max wins."""
     current = []
     for _ in range(l):
-        vals = {v: g.context.ground(current + [v]).lambda1 for v in range(g.n) if v not in current}
+        vals = {v: ground(g, current + [v]).lambda1 for v in range(g.n) if v not in current}
         top = max(vals.values())
         current.append(min(v for v, val in vals.items() if val >= top - TIE_TOL))
     pins = tuple(sorted(current))
-    return pins, g.context.ground(pins).lambda1
+    return pins, ground(g, pins).lambda1
 
 
 def _search_graphs():
@@ -447,13 +447,13 @@ def test_ritz_ceilings_prune_most_rows(monkeypatch):
     # rows solved per search: the closed-form ceilings alone leave 260 of the
     # C(62, 2) = 1891 dolphin pairs and 33 greedy candidates to solve
     solved = []
-    solve = GraphContext.grounded_lambda1s
+    solve = Graph.grounded_lambda1s
 
-    def counted(ctx, pins):
+    def counted(g, pins):
         solved.append(len(pins))
-        return solve(ctx, pins)
+        return solve(g, pins)
 
-    monkeypatch.setattr(GraphContext, "grounded_lambda1s", counted)
+    monkeypatch.setattr(Graph, "grounded_lambda1s", counted)
     brute_force_max_lambda1(pinopt.load_dolphins(), 2)
     assert sum(solved) <= 20
     solved.clear()
