@@ -36,7 +36,6 @@ from .bounds import (
     bound_report,
     boundary_bounds,
     feedback_gain_bound,
-    grounded_bounds,
     necessary_lambda2,
     upper_by_min_degree,
     upper_by_spectrum,

@@ -11,29 +11,21 @@ where the boundary weight of an uncontrolled node counts its pinned
 neighbors. All bounds here are cheap relative to the grounded
 eigensolve and are reported together for cross-checking.
 
-Three forms serve the pin-set searches as ceilings, so that a candidate
+Two forms serve the pin-set searches as ceilings, so that a candidate
 whose ceiling is below the best lambda1 found need not be solved. The
-first two are closed forms, the first tier of every candidate:
-
-- ``pin_set_ceilings``: the three upper bounds above, for many pin
-  sets of one size at once. The mean boundary weight is cut(S), the
-  number of edges leaving S, over n - l: the Rayleigh quotient of the
-  all-ones vector.
-- ``upper_after_pin``: given the bottom eigenpair (lam, u) of a
-  grounded matrix M, pinning one more node v gives
-  lambda1 <= (lam*(1 - 2u_v^2) + M_vv*u_v^2) / (1 - u_v^2), the Rayleigh
-  quotient of u with entry v deleted (+inf when u_v^2 is about 1). On
-  the full Laplacian, whose bottom eigenvector is constant, this is
-  the single-pin cap deg(v)/(n-1).
+first tier of every candidate is ``pin_set_ceilings``: the three upper
+bounds above, for many pin sets of one size at once. The mean boundary
+weight is cut(S), the number of edges leaving S, over n - l: the
+Rayleigh quotient of the all-ones vector.
 
 The second tier, for the candidates the first leaves open, is
-``ritz_ceilings``: from the same test vector (all-ones on the kept
-nodes, or u with entry v deleted), a few Lanczos steps on the candidate's
-grounded matrix, applied as a masked product with the Laplacian, give a
-Ritz vector whose Rayleigh quotient is still an upper bound, and
-usually far closer to lambda1. The quotient is recomputed from that
-vector and raised by a rounding slack of 4 n eps max(1, 2 dmax), so it
-stays an upper bound however inexact the Lanczos basis is.
+``ritz_ceilings``: from the same all-ones test vector, a few Lanczos
+steps on the candidate's grounded matrix, applied as a masked product
+with the Laplacian, give a Ritz vector whose Rayleigh quotient is still
+an upper bound, and usually far closer to lambda1. The quotient is
+recomputed from that vector and raised by a rounding slack of
+4 n eps max(1, 2 dmax), so it stays an upper bound however inexact the
+Lanczos basis is.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, GroundedLaplacian, ground, pin_set
+from .graphs import Graph, ground, pin_set
 from .spectra import eig_sym
 
 __all__ = [
@@ -52,9 +44,7 @@ __all__ = [
     "upper_by_spectrum",
     "upper_by_min_degree",
     "boundary_bounds",
-    "grounded_bounds",
     "pin_set_ceilings",
-    "upper_after_pin",
     "ritz_ceilings",
     "upper_single_pin",
     "necessary_lambda2",
@@ -88,13 +78,6 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
     return float(w.min()), float(w.mean())
 
 
-def grounded_bounds(grounded: GroundedLaplacian) -> tuple[float, float, float]:
-    """(min boundary weight, min uncontrolled degree, mean boundary weight)
-    of one grounding: the pin-set-dependent bounds, taken together."""
-    w = grounded.weights
-    return float(w.min()), float(grounded.graph.degrees[grounded.keep].min()), float(w.mean())
-
-
 # bytes of the (rows, l, l) blocks pin_set_ceilings gathers at a time
 _CEILING_CHUNK_BYTES = 1 << 20
 
@@ -123,46 +106,28 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     return np.minimum(out, g.spectrum[l])
 
 
-def upper_after_pin(m: np.ndarray, lam: float, u: np.ndarray) -> np.ndarray:
-    """Per row v of the symmetric matrix m, an upper bound on the smallest
-    eigenvalue of m with row and column v deleted.
-
-    (lam, u) is the bottom eigenpair of m, u of unit norm. Deleting
-    entry v of u leaves a test vector of squared norm 1 - u_v^2 and
-    Rayleigh quotient (lam*(1 - 2u_v^2) + m_vv*u_v^2) / (1 - u_v^2), which
-    bounds the smaller matrix's lambda1 from above (Courant-Fischer).
-    Where u_v^2 is within 1e-12 of 1 nothing is left to test, and the
-    bound is +inf.
-    """
-    u2 = u * u
-    rest = 1.0 - u2
-    out = np.full(len(u), np.inf)
-    ok = rest > 1e-12
-    out[ok] = (lam * (1.0 - 2.0 * u2[ok]) + np.diagonal(m)[ok] * u2[ok]) / rest[ok]
-    return out
-
-
 # dimension of the Krylov space ritz_ceilings searches
 RITZ_DEPTH = 4
 # bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
 RITZ_CHUNK_BYTES = 128 * 1024
 
 
-def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
+def ritz_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
-    of that grounding, tighter than the Rayleigh quotient of `start`.
+    of that grounding, tighter than cut(S) / (n - l), the Rayleigh quotient
+    of the all-ones vector.
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (x @ L),
-    where keep zeroes the row's pins. From x = `start` (n floats) with
-    the row's pins zeroed, Lanczos builds a basis of the Krylov space
-    {x, Mx, ..., M^(d-1) x}, d = RITZ_DEPTH. Its bottom Ritz vector y is
-    zero on the pins, so its Rayleigh quotient bounds lambda1 from above
-    (Courant-Fischer), and in exact arithmetic never exceeds the
+    where keep zeroes the row's pins. From x = keep, the all-ones vector
+    with the row's pins zeroed, Lanczos builds a basis of the Krylov
+    space {x, Mx, ..., M^(d-1) x}, d = RITZ_DEPTH. Its bottom Ritz vector
+    y is zero on the pins, so its Rayleigh quotient bounds lambda1 from
+    above (Courant-Fischer), and in exact arithmetic never exceeds the
     quotient of x. The quotient is taken from y itself, with one more
     product, plus `4 * n * eps * max(1, 2 * dmax)` for its rounding, so
-    the bound holds however inexact the basis is. A row whose x is zero
-    or not finite gets +inf. Rows are taken in chunks whose temporaries
-    stay within RITZ_CHUNK_BYTES.
+    the bound holds however inexact the basis is; a quotient that is not
+    finite becomes +inf. Rows are taken in chunks whose temporaries stay
+    within RITZ_CHUNK_BYTES.
     """
     lap = g.laplacian
     n, d = g.n, RITZ_DEPTH
@@ -178,16 +143,11 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
         keep[np.arange(k)[:, None], s] = 0.0
         basis = np.empty((k, d, n))
         v = basis[:, 0]
-        v[...] = np.where(keep > 0, start, 0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            norm = np.sqrt(np.einsum("kn,kn->k", v, v))
-        ok = np.isfinite(norm) & (norm > 0)
-        v[~ok] = 0.0
-        v /= np.where(ok, norm, 1.0)[:, None]
+        np.divide(keep, np.sqrt(n - pins.shape[1]), out=v)
         # the tridiagonal Lanczos matrix; a vector past a breakdown is zero and
         # its diagonal entry lies above every eigenvalue of M
         h = np.zeros((k, d, d))
-        alive = ok
+        alive = np.ones(k, dtype=bool)
         for j in range(d):
             w = (v @ lap) * keep
             h[:, j, j] = np.where(alive, np.einsum("kn,kn->k", v, w), top + 1.0)
@@ -207,7 +167,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
         ymy = np.einsum("kn,kn->k", y, (y @ lap) * keep)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = ymy / yy + slack
-        out[lo:lo + step] = np.where(ok & (yy > 0) & np.isfinite(q), q, np.inf)
+        out[lo:lo + step] = np.where(np.isfinite(q), q, np.inf)
     return out
 
 
@@ -294,13 +254,13 @@ def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) 
     upper_spec = upper_by_spectrum(g, len(pins))
     grounded = ground(g, pins)
     lam = grounded.lambda1
-    lo, kmin, avg = grounded_bounds(grounded)
+    w = grounded.weights
     return BoundReport(
         lambda1=lam,
-        lower_min_boundary=lo,
+        lower_min_boundary=float(w.min()),
         upper_spectrum=upper_spec,
-        upper_kmin=kmin,
-        upper_avg_boundary=avg,
+        upper_kmin=float(g.degrees[grounded.keep].min()),
+        upper_avg_boundary=float(w.mean()),
         upper_single_pin=upper_single_pin(g, pins[0]) if len(pins) == 1 else None,
         alpha_over_c=alpha_over_c,
         satisfied=None if alpha_over_c is None else bool(lam > alpha_over_c),

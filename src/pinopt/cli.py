@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import generators as gen_mod
 from . import strategies as strat_mod
 from . import sync as sync_mod
-from .graphs import EdgeListError, Graph, format_edge_list, ground, parse_edge_list, pin_set
+from .graphs import EdgeListError, Graph, format_edge_list, parse_edge_list, pin_set
 
 __all__ = ["main", "sweep_rows", "SWEEP_COLUMNS"]
 
@@ -213,13 +213,6 @@ def _sweep_pin_sets(g: Graph, strategy: str, l: int, q: float | None, runs: int,
     return [call(g, l, q, seed, runs, budget).pin_set]
 
 
-def _pin_set_columns(g: Graph, pins) -> tuple[float, float, float, float]:
-    """lambda1 and the (lower, kmin, avg) bounds, all from one grounding,
-    which is freed on return so that no two grounded matrices coexist."""
-    grounded = ground(g, pins)
-    return (grounded.lambda1, *bounds_mod.grounded_bounds(grounded))
-
-
 def sweep_rows(
     g: Graph,
     strategy: str,
@@ -242,22 +235,23 @@ def sweep_rows(
         if runs < 1:
             raise ValueError(f"need runs >= 1, got runs={runs}")
     for l in ls:
-        upper_spec = bounds_mod.upper_by_spectrum(g, l)
         brute_val: float | None = None
         if with_brute:
             brute_val = strat_mod.brute_force_max_lambda1(g, l, budget=budget).lambda1
         for q in q_list:
-            pin_sets = _sweep_pin_sets(g, strategy, l, q, runs, seed, budget)
-            lams, los, kmins, avgs = zip(*(_pin_set_columns(g, pins) for pins in pin_sets))
+            # one report per pin set, each freeing its grounding on return
+            reports = [bounds_mod.bound_report(g, pins)
+                       for pins in _sweep_pin_sets(g, strategy, l, q, runs, seed, budget)]
+            lams = [r.lambda1 for r in reports]
             row = {
                 "l": l,
                 "q": q,
                 "lambda1_mean": float(np.mean(lams)),
                 "lambda1_std": float(np.std(lams)),
-                "upper_spectrum": upper_spec,
-                "upper_kmin": float(np.mean(kmins)),
-                "upper_avg_boundary": float(np.mean(avgs)),
-                "lower_min_boundary": float(np.mean(los)),
+                "upper_spectrum": reports[0].upper_spectrum,
+                "upper_kmin": float(np.mean([r.upper_kmin for r in reports])),
+                "upper_avg_boundary": float(np.mean([r.upper_avg_boundary for r in reports])),
+                "lower_min_boundary": float(np.mean([r.lower_min_boundary for r in reports])),
             }
             if with_brute:
                 row["lambda1_brute"] = brute_val
@@ -428,21 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command may raise.
+EXIT_CODES = {UsageError: 1, DataError: 2, strat_mod.BudgetError: 3}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        code = 0
         args = build_parser().parse_args(argv)
-        code = args.func(args)
-    except UsageError as exc:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except strat_mod.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3
-    return code
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import pin_set_ceilings, ritz_ceilings, upper_after_pin
+from .bounds import pin_set_ceilings, ritz_ceilings
 from .graphs import Graph, connected_components, ground
 
 __all__ = [
@@ -306,27 +306,28 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
-def _pruned_argmax(g: Graph, pins: np.ndarray, ceilings: np.ndarray,
-                   start: np.ndarray) -> tuple[int, float]:
+def _pruned_argmax(g: Graph, pins: np.ndarray) -> tuple[int, float]:
     """The winning row of `pins` (k x l node ids, in the order that breaks
     ties) and its lambda1, solving only the rows the ceilings leave open.
 
-    The row of highest ceiling is solved first. Every other row whose
+    Every row gets the closed-form ceiling ``bounds.pin_set_ceilings``,
+    and the row of highest ceiling is solved first. Every other row whose
     ceiling still reaches best - TIE_TOL then gets the tighter
-    ``bounds.ritz_ceilings`` from the test vector `start`, and the rows
-    are solved in descending order of their ceiling (row order within
-    equal ceilings), in stacked batches of 2, 4, ... matrices up to
+    ``bounds.ritz_ceilings`` from the all-ones vector, and the rows are
+    solved in descending order of their ceiling (row order within equal
+    ceilings), in stacked batches of 2, 4, ... matrices up to
     BATCH_BYTES, until the next ceiling is below best - TIE_TOL: no row
     left can then come within TIE_TOL of the max. The winner is the
     first row whose lambda1 is at least max - TIE_TOL, the same row
     that solving every row would give.
     """
+    ceilings = pin_set_ceilings(g, pins)
     order = np.argsort(-ceilings, kind="stable")
     vals = np.full(len(pins), -np.inf)
     vals[order[0]] = g.grounded_lambda1s(pins[order[:1]])[0]
     best = float(vals[order[0]])
     rest = order[1:][ceilings[order[1:]] >= best - TIE_TOL]
-    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest], start))
+    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest]))
     rank = np.argsort(-tight, kind="stable")
     order, sorted_ceilings = rest[rank], tight[rank]
     cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
@@ -365,7 +366,7 @@ def brute_force_max_lambda1(
         itertools.chain.from_iterable(itertools.combinations(range(g.n), l)),
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
-    win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
+    win, lam = _pruned_argmax(g, combos)
     return SelectionResult(
         strategy="brute_force",
         l=l,
@@ -381,33 +382,21 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     """Grow a pin set one node at a time, maximizing lambda1 each round.
 
     Tie rule: each round adds the smallest node id whose lambda1 is at
-    least that round's max - TIE_TOL. Pruning: a round solves the
-    current grounding once for its bottom eigenpair, bounds every
-    candidate by ``bounds.upper_after_pin`` (round 0 uses the full
-    Laplacian's constant eigenvector, giving deg(v)/(n-1)), tightens the
-    bounds the first solve leaves open with ``bounds.ritz_ceilings``
-    from the same eigenvector, and solves candidates from the highest
-    bound down until none left can reach the tie window. A baseline for the exhaustive search: never better,
-    often close.
+    least that round's max - TIE_TOL. A round is the pruned search that
+    ``brute_force_max_lambda1`` runs, over the sets current + [v], one
+    per node v not yet pinned, in ascending order of v. A baseline for
+    the exhaustive search: never better, often close.
     """
     _check_l(g, l)
     current: list[int] = []
     free = np.arange(g.n)
-    m, lam, u = g.laplacian, 0.0, np.full(g.n, 1.0 / math.sqrt(g.n))
     for k in range(l):
         rows = np.empty((len(free), k + 1), dtype=np.int64)
         rows[:, :k] = current
         rows[:, k] = free
-        start = np.zeros(g.n)
-        start[free] = u
-        win, val = _pruned_argmax(g, rows, upper_after_pin(m, lam, u), start)
+        win, val = _pruned_argmax(g, rows)
         current.append(int(free[win]))
-        if k + 1 < l:
-            grounded = ground(g, current)
-            free, m = np.flatnonzero(grounded.keep), grounded.matrix
-            # a block of the read-only Laplacian: symmetric, so no check
-            vals, vecs = np.linalg.eigh(m)
-            lam, u = float(vals[0]), vecs[:, 0]
+        free = np.delete(free, win)
     # the last round solved the grounding of exactly this set
     return SelectionResult(
         strategy="greedy",

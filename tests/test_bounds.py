@@ -12,14 +12,13 @@ from pinopt.bounds import (
     necessary_lambda2,
     pin_set_ceilings,
     ritz_ceilings,
-    upper_after_pin,
     upper_by_min_degree,
     upper_by_spectrum,
     upper_single_pin,
 )
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
 from pinopt.graphs import build_graph, ground, laplacian, pin_set
-from pinopt.spectra import eig_sym, eig_sym_pairs, lambda1
+from pinopt.spectra import eig_sym, lambda1
 
 TOL = 1e-9
 
@@ -77,35 +76,6 @@ def test_upper_single_pin_tight_on_star_and_complete():
         upper_single_pin(g, 7)
 
 
-def test_upper_after_pin_bounds_every_deletion():
-    rng = np.random.default_rng(33)
-    for _ in range(40):
-        n = int(rng.integers(4, 20))
-        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
-        grounded = ground(g, rand_pins(rng, n, int(rng.integers(1, n - 1))))
-        m = grounded.matrix
-        vals, vecs = eig_sym_pairs(m)
-        bound = upper_after_pin(m, vals[0], vecs[:, 0])
-        for i in range(len(m)):
-            rest = [j for j in range(len(m)) if j != i]
-            assert lambda1(m[np.ix_(rest, rest)]) <= bound[i] + TOL
-
-
-def test_upper_after_pin_on_the_laplacian_is_the_single_pin_cap():
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        n = int(rng.integers(3, 20))
-        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
-        got = upper_after_pin(laplacian(g), 0.0, np.full(n, 1.0 / np.sqrt(n)))
-        want = [upper_single_pin(g, i) for i in range(n)]
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_upper_after_pin_is_infinite_on_a_unit_entry():
-    bound = upper_after_pin(np.eye(2), 1.0, np.array([1.0, 0.0]))
-    assert bound[0] == np.inf and bound[1] == 1.0
-
-
 def test_pin_set_ceilings_take_the_three_upper_bounds():
     rng = np.random.default_rng(35)
     for _ in range(30):
@@ -113,19 +83,22 @@ def test_pin_set_ceilings_take_the_three_upper_bounds():
         g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
         l = int(rng.integers(1, n))
         rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
-        got = pin_set_ceilings(g, rows)
-        for row, ceiling in zip(rows, got):
-            _, avg = boundary_bounds(g, row)
-            want = min(upper_by_spectrum(g, l), upper_by_min_degree(g, row), avg)
-            assert ceiling == pytest.approx(want, abs=1e-12)
-            assert lambda1(ground(g, row).matrix) <= ceiling + TOL
+        # sorted rows, as brute force passes them, and unsorted, as greedy does
+        for pins in (rows, rng.permuted(rows, axis=1)):
+            got = pin_set_ceilings(g, pins)
+            for row, ceiling in zip(pins, got):
+                _, avg = boundary_bounds(g, row)
+                want = min(upper_by_spectrum(g, l), upper_by_min_degree(g, row), avg)
+                assert ceiling == pytest.approx(want, abs=1e-12)
+                assert lambda1(ground(g, row).matrix) <= ceiling + TOL
 
 
 def _ritz_cases():
-    """(graph, pins, start) over seeded random groundings: connected graphs,
+    """(graph, pins) over seeded random groundings: connected graphs,
     graphs with several components and isolated nodes, edgeless graphs,
-    l from 1 to n-1; starts all-ones, random, and greedy's (the bottom
-    eigenvector of one grounding, each row pinning one node more)."""
+    l from 1 to n-1; rows sorted, as brute force passes them, the same
+    rows shuffled, and greedy's rows current + [v], one per node v not
+    in an unsorted current."""
     rng = np.random.default_rng(36)
     graphs = [rand_connected(rng, int(rng.integers(3, 30)), extra=int(rng.integers(0, 40)))
               for _ in range(20)]
@@ -138,30 +111,25 @@ def _ritz_cases():
     for g in graphs:
         for l in sorted({1, g.n - 1, int(rng.integers(1, g.n))}):
             rows = np.array([rand_pins(rng, g.n, l) for _ in range(6)])
-            yield g, rows, np.ones(g.n)
-            yield g, rows, rng.standard_normal(g.n)
+            yield g, rows
+            yield g, rng.permuted(rows, axis=1)
             if l > 1:
-                current = rows[0, :-1]
-                grounded = ground(g, current)
-                start = np.zeros(g.n)
-                start[list(grounded.retained)] = eig_sym_pairs(grounded.matrix)[1][:, 0]
-                free = np.flatnonzero(grounded.keep)
-                yield g, np.column_stack([np.tile(current, (len(free), 1)), free]), start
+                current = rng.permutation(rows[0])[:-1]
+                free = np.setdiff1d(np.arange(g.n), current)
+                yield g, np.column_stack([np.tile(current, (len(free), 1)), free])
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20], ids=["one_row", "all_rows"])
 def test_ritz_ceilings_bound_lambda1(monkeypatch, chunk_bytes):
     monkeypatch.setattr(pinopt.bounds, "RITZ_CHUNK_BYTES", chunk_bytes)
     cases = 0
-    for g, rows, start in _ritz_cases():
-        got = ritz_ceilings(g, rows, start)
+    for g, rows in _ritz_cases():
+        got = ritz_ceilings(g, rows)
         for row, ceiling in zip(rows, got):
             m = ground(g, row).matrix
             assert ceiling >= np.linalg.eigvalsh(m)[0], (g, row)
-            # never looser than the quotient of the start vector itself
-            x = np.delete(start, row)
-            if np.any(x):
-                assert ceiling <= x @ m @ x / (x @ x) + TOL
+            # never looser than cut(S) / (n - l), the quotient of the all-ones start
+            assert ceiling <= boundary_bounds(g, row)[1] + TOL
             cases += 1
     assert cases > 1000
 
@@ -175,26 +143,10 @@ def test_ritz_ceilings_tighten_the_closed_forms():
         rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
         # the all-ones start: cut(S) / (n - l), the mean boundary weight
         cut = [boundary_bounds(g, row)[1] for row in rows]
-        assert np.all(ritz_ceilings(g, rows, np.ones(n)) <= np.array(cut) + TOL)
-        # greedy's start on the full Laplacian: the single-pin cap deg(v) / (n - 1)
-        single = ritz_ceilings(g, np.arange(n)[:, None], np.full(n, n ** -0.5))
-        assert np.all(single <= upper_after_pin(laplacian(g), 0.0, np.full(n, n ** -0.5)) + TOL)
-
-
-def test_ritz_ceilings_are_infinite_without_a_test_vector():
-    g = gen_path(5)
-    rows = np.array([[0, 1], [2, 4], [1, 3]])
-    # zero on the kept nodes, zero everywhere, not finite on a kept node
-    on_pins = np.zeros(5)
-    on_pins[[0, 1]] = 1.0
-    assert ritz_ceilings(g, rows[:1], on_pins).tolist() == [np.inf]
-    assert ritz_ceilings(g, rows, np.zeros(5)).tolist() == [np.inf] * 3
-    bad = np.ones(5)
-    bad[3] = np.nan
-    got = ritz_ceilings(g, rows, bad)
-    assert got[0] == np.inf and got[1] == np.inf and np.isfinite(got[2])
-    bad[3] = np.inf
-    assert ritz_ceilings(g, rows[:2], bad).tolist() == [np.inf] * 2
+        assert np.all(ritz_ceilings(g, rows) <= np.array(cut) + TOL)
+        # one pin: the single-pin cap deg(v) / (n - 1)
+        single = ritz_ceilings(g, np.arange(n)[:, None])
+        assert np.all(single <= np.array([upper_single_pin(g, v) for v in range(n)]) + TOL)
 
 
 def test_necessary_lambda2_threshold():

@@ -16,7 +16,6 @@ from conftest import rand_connected, rand_pins
 from pinopt.bounds import (
     bound_report,
     boundary_bounds,
-    grounded_bounds,
     upper_by_min_degree,
     upper_by_spectrum,
 )
@@ -82,7 +81,6 @@ def test_bounds_match_reference_exactly():
         assert boundary_bounds(g, pins) == (lo, avg)
         assert upper_by_min_degree(g, pins) == kmin
         assert upper_by_spectrum(g, len(pins)) == spec
-        assert grounded_bounds(ground(g, pins)) == (lo, kmin, avg)
         rep = bound_report(g, pins, alpha_over_c=0.5)
         assert (rep.lambda1, rep.lower_min_boundary, rep.upper_kmin) == (lam, lo, kmin)
         assert (rep.upper_avg_boundary, rep.upper_spectrum) == (avg, spec)

@@ -7,6 +7,7 @@ import pinopt
 import pinopt.strategies
 from conftest import betweenness_by_enumeration, rand_connected
 from test_acceptance import _suite
+from pinopt.bounds import RITZ_DEPTH
 from pinopt.generators import (
     gen_ba,
     gen_complete,
@@ -445,7 +446,7 @@ def test_pruned_greedy_equals_unpruned_greedy_at_deck_size():
 
 def test_ritz_ceilings_prune_most_rows(monkeypatch):
     # rows solved per search: the closed-form ceilings alone leave 260 of the
-    # C(62, 2) = 1891 dolphin pairs and 33 greedy candidates to solve
+    # C(62, 2) = 1891 dolphin pairs and 132 greedy candidates to solve
     solved = []
     solve = Graph.grounded_lambda1s
 
@@ -459,6 +460,22 @@ def test_ritz_ceilings_prune_most_rows(monkeypatch):
     solved.clear()
     greedy_max_lambda1(_family(1, 104, 61), 3)
     assert sum(solved) <= 12
+
+
+def test_greedy_runs_no_full_eigendecomposition(monkeypatch):
+    # a round bounds its candidates with ceilings alone: the only eigh is the
+    # batched one over the small Lanczos matrices of the Ritz tier
+    orders = []
+    eigh = np.linalg.eigh
+
+    def recorded(m, *args, **kwargs):
+        orders.append(np.shape(m)[-1])
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    for g in (pinopt.load_dolphins(), _family(2, 150, 62)):
+        greedy_max_lambda1(g, 3)
+    assert all(order <= RITZ_DEPTH for order in orders), orders
 
 
 def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
