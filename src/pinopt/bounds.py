@@ -13,10 +13,14 @@ eigensolve and are reported together for cross-checking.
 
 Two forms serve the pin-set searches as ceilings, so that a candidate
 whose ceiling is below the best lambda1 found need not be solved. The
-first tier of every candidate is ``pin_set_ceilings``: the three upper
-bounds above, for many pin sets of one size at once. The mean boundary
-weight is cut(S), the number of edges leaving S, over n - l: the
-Rayleigh quotient of the all-ones vector.
+first tier of every candidate is ``pin_set_ceilings``: the two
+closed-form upper bounds that depend on the pin set, the min
+uncontrolled degree and the mean boundary weight, for many pin sets of
+one size at once. The mean boundary weight is cut(S), the number of
+edges leaving S, over n - l: the Rayleigh quotient of the all-ones
+vector. The interlacing bound is left out: it is one value for every
+pin set of size l, at least each one's lambda1, so it never prunes a
+candidate, and it costs a full eigensolve of the Laplacian.
 
 The second tier, for the candidates the first leaves open, is
 ``ritz_ceilings``: from the same all-ones test vector, a few Lanczos
@@ -84,7 +88,7 @@ _CEILING_CHUNK_BYTES = 1 << 20
 
 def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1:
-    min(spectrum[l], min uncontrolled degree, cut(S) / (n - l)).
+    min(min uncontrolled degree, cut(S) / (n - l)).
 
     cut(S), the number of edges leaving S, is the sum of the Laplacian
     block L_SS; the min uncontrolled degree is that of the first of the
@@ -103,7 +107,7 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
         cut = g.laplacian[s[:, :, None], s[:, None, :]].sum(axis=(1, 2))
         free = np.argmin((s[:, :, None] == low).any(axis=1), axis=1)
         out[start:start + step] = np.minimum(deg[low[free]], cut / (g.n - l))
-    return np.minimum(out, g.spectrum[l])
+    return out
 
 
 # dimension of the Krylov space ritz_ceilings searches

@@ -1,9 +1,10 @@
 """Deterministic graph generators for the test families.
 
 Random families take an integer seed and produce bit-identical edge
-sets across runs for the same arguments. Every family refuses more than
-``graphs.MAX_NODES`` nodes, the most ``parse_edge_list`` accepts, before
-it builds anything.
+sets across runs for the same arguments. Every family builds its edges
+as an (m, 2) array and hands it to ``build_graph``, and refuses more
+than ``graphs.MAX_NODES`` nodes, the most ``parse_edge_list`` accepts,
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n={n} exceeds the limit of {MAX_NODES} nodes")
 
 
+def _pairs(u, v) -> np.ndarray:
+    """The edges (u[i], v[i]) as an (m, 2) array; a scalar end is broadcast."""
+    return np.stack(np.broadcast_arrays(u, v), axis=1)
+
+
 def gen_star(n: int) -> Graph:
     """Star on n nodes, node 0 the center."""
     _check_size(n)
     if n < 3:
         raise ValueError(f"star needs n >= 3, got n={n}")
-    return build_graph(n, [(0, i) for i in range(1, n)])
+    return build_graph(n, _pairs(0, np.arange(1, n)))
 
 
 def gen_double_star(k: int) -> Graph:
@@ -46,9 +52,9 @@ def gen_double_star(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"double star needs k >= 1 leaves per hub, got k={k}")
     hub_a, hub_b = 1, k + 2
-    edges = [(0, hub_a), (0, hub_b)]
-    edges += [(hub_a, i) for i in range(2, k + 2)]
-    edges += [(hub_b, i) for i in range(k + 3, 2 * k + 3)]
+    edges = np.concatenate((_pairs(0, [hub_a, hub_b]),
+                            _pairs(hub_a, np.arange(2, k + 2)),
+                            _pairs(hub_b, np.arange(k + 3, 2 * k + 3))))
     return build_graph(2 * k + 3, edges)
 
 
@@ -56,14 +62,14 @@ def gen_complete(n: int) -> Graph:
     _check_size(n)
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return build_graph(n, _pairs(*np.triu_indices(n, k=1)))
 
 
 def gen_path(n: int) -> Graph:
     _check_size(n)
     if n < 2:
         raise ValueError(f"path needs n >= 2, got n={n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, _pairs(np.arange(n - 1), np.arange(1, n)))
 
 
 def gen_ba(n: int, m0: int, m: int, seed: int) -> Graph:
@@ -80,9 +86,10 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> Graph:
     if not (1 <= m <= m0 < n):
         raise ValueError(f"need 1 <= m <= m0 < n, got m={m}, m0={m0}, n={n}")
     rng = np.random.default_rng(seed)
-    edges = [(u, v) for u in range(m0) for v in range(u + 1, m0)]
+    seed_edges = _pairs(*np.triu_indices(m0, k=1))
     # one entry per endpoint per edge: node i appears deg(i) times
-    urn: list[int] = [e for edge in edges for e in edge]
+    urn: list[int] = seed_edges.ravel().tolist()
+    targets: list[int] = []
     for new in range(m0, n):
         chosen: set[int] = set()
         while len(chosen) < m:
@@ -92,15 +99,26 @@ def gen_ba(n: int, m0: int, m: int, seed: int) -> Graph:
                 pick = int(rng.integers(new))
             chosen.add(pick)
         for tgt in sorted(chosen):
-            edges.append((tgt, new))
-            urn.append(tgt)
-            urn.append(new)
-    return build_graph(n, edges)
+            targets.append(tgt)
+            urn += (tgt, new)
+    grown = _pairs(np.array(targets, dtype=np.int64), np.repeat(np.arange(m0, n), m))
+    return build_graph(n, np.concatenate((seed_edges, grown)))
 
 
-def _pair_mask_graph(n: int, keep_pairs: np.ndarray) -> Graph:
-    iu, ju = np.triu_indices(n, k=1)
-    return build_graph(n, list(zip(iu[keep_pairs].tolist(), ju[keep_pairs].tolist())))
+def _row_starts(n: int) -> np.ndarray:
+    """Per node u, the position of the pair (u, u+1) in the row-major list
+    of the n*(n-1)/2 pairs u < v, the order the random families draw in."""
+    u = np.arange(n)
+    return u * (2 * n - u - 1) // 2
+
+
+def _pairs_at(n: int, keep: np.ndarray) -> np.ndarray:
+    """The pairs u < v whose positions in the row-major list `keep` marks,
+    in that order."""
+    t = np.flatnonzero(keep)
+    starts = _row_starts(n)
+    u = np.searchsorted(starts, t, side="right") - 1
+    return _pairs(u, t - starts[u] + u + 1)
 
 
 def gen_nw(n: int, k: int, p: float, seed: int) -> Graph:
@@ -119,12 +137,13 @@ def gen_nw(n: int, k: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"shortcut probability must be in [0, 1], got p={p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    dist = ju - iu
-    ring = np.minimum(dist, n - dist)
-    lattice = ring <= k // 2
-    draws = rng.random(iu.shape[0])
-    return _pair_mask_graph(n, lattice | (~lattice & (draws < p)))
+    keep = rng.random(n * (n - 1) // 2) < p
+    # the lattice pairs (u, u + s mod n), 1 <= s <= k/2
+    u = np.repeat(np.arange(n), k // 2)
+    v = (u + np.tile(np.arange(1, k // 2 + 1), n)) % n
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep[_row_starts(n)[lo] + hi - lo - 1] = True
+    return build_graph(n, _pairs_at(n, keep))
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -135,6 +154,4 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got p={p}")
     rng = np.random.default_rng(seed)
-    iu, _ = np.triu_indices(n, k=1)
-    draws = rng.random(iu.shape[0])
-    return _pair_mask_graph(n, draws < p)
+    return build_graph(n, _pairs_at(n, rng.random(n * (n - 1) // 2) < p))

@@ -4,15 +4,24 @@ Graphs are simple and unweighted, with nodes 0..n-1 and a dense numpy
 representation throughout; everything here targets networks of up to a
 few thousand nodes, where dense linear algebra is the fast path.
 
+One canonical edge array carries a graph from its text to its grounded
+blocks: :func:`build_graph` validates and canonicalises an (m, 2) array
+in numpy, :func:`parse_edge_list` reads the canonical text (the one
+``format_edge_list`` writes with no header) straight into such an array,
+and the generators build theirs in numpy. No step between the text and
+the grounded block loops over edges in Python.
+
 Two objects carry the method. A :class:`Graph` keeps its per-graph
 quantities, each computed on first use and then kept: the degrees, the
 edge array, the Laplacian and its full spectrum (both read-only).
 :func:`ground` is the one way to pin a set of nodes: it validates the
 pins and returns a :class:`GroundedLaplacian`, which holds only the
 graph and the mask of unpinned nodes and computes its matrix, boundary
-weights and lambda1 on first use. A caller that grounds many pin sets
-of one graph therefore builds the Laplacian and its spectrum once. Two
-rules keep the output byte-identical to a from-scratch build:
+weights and lambda1 on first use. The Laplacian and every grounded
+matrix come from one builder, the Laplacian being the block that keeps
+every node. A caller that grounds many pin sets of one graph therefore
+builds its per-graph quantities once. Two rules keep the output
+byte-identical to a from-scratch build:
 
 - The Laplacian's zero off-diagonal entries are ``-0.0``, as negating
   the adjacency matrix gives. LAPACK's Householder reflections see the
@@ -25,6 +34,7 @@ rules keep the output byte-identical to a from-scratch build:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -56,19 +66,24 @@ class Graph:
 
     Edges are stored canonically as a sorted tuple of (u, v) pairs with
     u < v, no duplicates, no self loops. Build instances through
-    :func:`build_graph`, which validates and canonicalizes.
+    :func:`build_graph`, which validates and canonicalizes in numpy and
+    also seeds `edge_array`, the same edges as an (m, 2) array, from
+    which the degrees, neighbours and every matrix are built.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array; build_graph seeds it."""
+        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -80,29 +95,20 @@ class Graph:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(tuple(sorted(l)) for l in lists)
+        u, v = self.edge_array.T
+        # every edge in both directions, as codes node * n + neighbour, sorted
+        ids = (np.sort(np.concatenate((u * self.n + v, v * self.n + u))) % self.n).tolist()
+        ends = np.cumsum(self.degrees).tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array."""
-        return np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-
-    @cached_property
     def laplacian(self) -> np.ndarray:
         """L = D - A, read-only; zero off-diagonal entries are -0.0 (see the module notes)."""
-        u, v = self.edge_array.T
-        lap = np.full((self.n, self.n), -0.0)
-        lap[u, v] = -1.0
-        lap[v, u] = -1.0
-        lap[np.diag_indices(self.n)] = self.degrees.astype(np.float64)
+        lap = _block(self, np.ones(self.n, dtype=bool))
         lap.flags.writeable = False
         return lap
 
@@ -133,23 +139,82 @@ class Graph:
         return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0]
 
 
-def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
+def build_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
     Node ids must lie in 0..n-1, self loops are rejected, duplicate
-    edges (in either orientation) collapse to one.
+    edges (in either orientation) collapse to one. The first bad edge in
+    input order is the one reported. `edges` is best an (m, 2) integer
+    array; anything else is converted first (see :func:`_edge_rows`).
     """
     if n < 1:
         raise ValueError(f"graph needs at least one node, got n={n}")
-    canon: set[tuple[int, int]] = set()
+    rows = _edge_rows(n, edges)
+    u, v = rows[:, 0], rows[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    if bad.any():
+        _check_edge(n, *rows[np.argmax(bad)].tolist())
+    # one code per unordered pair, min * n + max: sorting the codes sorts the
+    # pairs. Repeats are dropped by hand, as recent numpy's np.unique hashes
+    # before it sorts and is many times slower on these codes.
+    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    canon = np.stack(np.divmod(codes, n), axis=1)
+    canon.flags.writeable = False
+    g = Graph(n=n, edges=tuple(map(tuple, canon.tolist())))
+    g.__dict__["edge_array"] = canon
+    return g
+
+
+def _check_edge(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self loop at node {u} not allowed")
+
+
+def _edge_rows(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """`edges` as an (m, 2) int64 array of (e[0], e[1]) per edge.
+
+    Input that numpy holds as integer rows is converted in one step.
+    Anything else (ids beyond int64, ragged rows, floats, strings,
+    iterators) is read edge by edge as ``int(e[0]), int(e[1])`` and
+    checked on the way, so its first bad edge raises in input order.
+    """
+    try:
+        arr = np.asarray(edges)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.shape[1] >= 2 and np.can_cast(arr.dtype, np.int64):
+        return arr[:, :2].astype(np.int64, copy=False)
+    pairs = []
     for e in edges:
         u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self loop at node {u} not allowed")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(n=n, edges=tuple(sorted(canon)))
+        _check_edge(n, u, v)
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _kept_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges with both ends in the mask `keep`, relabelled to the
+    positions of their ends among the kept nodes (ascending id)."""
+    u, v = g.edge_array.T
+    both = keep[u] & keep[v]
+    pos = np.cumsum(keep) - 1
+    return pos[u[both]], pos[v[both]]
+
+
+def _block(g: Graph, keep: np.ndarray) -> np.ndarray:
+    """The principal block of the Laplacian on the nodes `keep` marks,
+    built directly: -0.0 everywhere, -1.0 on the kept edges, the full
+    degrees on the diagonal."""
+    u, v = _kept_edges(g, keep)
+    deg = g.degrees[keep]
+    out = np.full((len(deg), len(deg)), -0.0)
+    out[u, v] = -1.0
+    out[v, u] = -1.0
+    np.fill_diagonal(out, deg)
+    return out
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -194,12 +259,11 @@ class GroundedLaplacian:
 
     @cached_property
     def retained(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self.keep))
+        return tuple(np.flatnonzero(self.keep).tolist())
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        idx = np.flatnonzero(self.keep)
-        return self.graph.laplacian[np.ix_(idx, idx)]
+        return _block(self.graph, self.keep)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -246,12 +310,9 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
         raise ValueError("cannot induce a subgraph on zero nodes")
     if kept[0] < 0 or kept[-1] >= g.n:
         raise ValueError(f"keep list {kept} out of range for n={g.n}")
-    relabel = {v: i for i, v in enumerate(kept)}
-    kept_set = set(kept)
-    edges = [
-        (relabel[u], relabel[v]) for u, v in g.edges if u in kept_set and v in kept_set
-    ]
-    return build_graph(len(kept), edges), tuple(kept)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[kept] = True
+    return build_graph(len(kept), np.stack(_kept_edges(g, mask), axis=1)), tuple(kept)
 
 
 def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list[list[int]]:
@@ -299,12 +360,34 @@ def is_connected(g: Graph) -> bool:
 # graph this size already takes 800 MB, and its eigensolve as much again
 MAX_NODES = 10_000
 
+# The canonical text, as format_edge_list writes it with no header: the
+# node count, then one "u v" line per edge, ASCII digits, every line ended
+# by "\n". An id of at most 18 digits cannot overflow int64.
+_CANONICAL_TEXT = re.compile(r"[0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
 
 class EdgeListError(ValueError):
     """Malformed edge-list text; message carries the 1-based line number."""
 
 
 def parse_edge_list(text: str) -> Graph:
+    """The graph an edge-list text describes.
+
+    Canonical text is read in one vectorised conversion; any other text
+    goes through the line loop, the reference reader and the only source
+    of line-numbered errors. Both give the same graph or the same error.
+    """
+    if _CANONICAL_TEXT.fullmatch(text):
+        nums = np.fromstring(text, dtype=np.int64, sep=" ")
+        if nums[0] <= MAX_NODES:
+            try:
+                return build_graph(int(nums[0]), nums[1:].reshape(-1, 2))
+            except ValueError as exc:
+                raise EdgeListError(str(exc)) from None
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -342,12 +425,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
+    lines = [f"# {h}" for h in header.splitlines()] if header else []
     lines.append(str(g.n))
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + ("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
 
 
 def read_edge_list(path) -> Graph:

@@ -102,11 +102,9 @@ def degree_mix_pins(g: Graph, l: int, q: float, seed: int, run: int) -> tuple[in
     rng = np.random.default_rng([seed, run])
     tie = rng.permutation(g.n)
     by_top = np.lexsort((tie, -deg))
-    picked = list(by_top[:n_top])
     rest = by_top[n_top:]
     by_bottom = rest[np.lexsort((tie[rest], deg[rest]))]
-    picked += list(by_bottom[: l - n_top])
-    return tuple(sorted(int(v) for v in picked))
+    return tuple(np.sort(np.concatenate((by_top[:n_top], by_bottom[: l - n_top]))).tolist())
 
 
 def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
@@ -350,8 +348,8 @@ def brute_force_max_lambda1(
     Tie rule: the winner is the lexicographically smallest set whose
     lambda1 is at least max - TIE_TOL, whatever order the sets are
     solved in. Pruning: every set gets the ceiling
-    ``bounds.pin_set_ceilings`` (interlacing, min uncontrolled degree,
-    mean boundary weight), the sets it leaves open after the first solve
+    ``bounds.pin_set_ceilings`` (min uncontrolled degree, mean boundary
+    weight), the sets it leaves open after the first solve
     get ``bounds.ritz_ceilings`` from the all-ones vector, and sets are
     solved from the highest ceiling down until no set left can reach the
     tie window. Refuses to start when C(n, l) exceeds the budget.

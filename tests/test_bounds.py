@@ -76,7 +76,7 @@ def test_upper_single_pin_tight_on_star_and_complete():
         upper_single_pin(g, 7)
 
 
-def test_pin_set_ceilings_take_the_three_upper_bounds():
+def test_pin_set_ceilings_take_the_two_closed_form_bounds():
     rng = np.random.default_rng(35)
     for _ in range(30):
         n = int(rng.integers(3, 25))
@@ -88,7 +88,7 @@ def test_pin_set_ceilings_take_the_three_upper_bounds():
             got = pin_set_ceilings(g, pins)
             for row, ceiling in zip(pins, got):
                 _, avg = boundary_bounds(g, row)
-                want = min(upper_by_spectrum(g, l), upper_by_min_degree(g, row), avg)
+                want = min(upper_by_min_degree(g, row), avg)
                 assert ceiling == pytest.approx(want, abs=1e-12)
                 assert lambda1(ground(g, row).matrix) <= ceiling + TOL
 

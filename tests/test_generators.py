@@ -10,7 +10,7 @@ from pinopt.generators import (
     gen_path,
     gen_star,
 )
-from pinopt.graphs import is_connected
+from pinopt.graphs import build_graph, is_connected
 
 
 def test_fixed_families_exact_shapes():
@@ -114,3 +114,119 @@ def test_erdos_renyi_extremes_and_count():
     assert abs(np.mean(counts) - expect) < 4 * sigma / np.sqrt(10)
     with pytest.raises(ValueError):
         gen_erdos_renyi(5, -0.1, seed=0)
+
+
+# ------------------------------------ array builds against list-of-pairs references
+#
+# Each reference draws from the same random stream as its family and lists
+# the edges as Python pairs, pair by pair.
+
+
+def _ref_star(n):
+    return n, [(0, i) for i in range(1, n)]
+
+
+def _ref_double_star(k):
+    edges = [(0, 1), (0, k + 2)] + [(1, i) for i in range(2, k + 2)]
+    return 2 * k + 3, edges + [(k + 2, i) for i in range(k + 3, 2 * k + 3)]
+
+
+def _ref_complete(n):
+    return n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _ref_path(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def _ref_ba(n, m0, m, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(m0) for v in range(u + 1, m0)]
+    urn = [e for edge in edges for e in edge]
+    for new in range(m0, n):
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(urn[rng.integers(len(urn))] if urn else int(rng.integers(new)))
+        for tgt in sorted(chosen):
+            edges.append((tgt, new))
+            urn += [tgt, new]
+    return n, edges
+
+
+def _ref_pairs(n, seed, keep):
+    """The pairs u < v, in row order, for which keep(u, v, draw) holds."""
+    draws = np.random.default_rng(seed).random(n * (n - 1) // 2).tolist()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, [(u, v) for (u, v), r in zip(pairs, draws) if keep(u, v, r)]
+
+
+def _ref_nw(n, k, p, seed):
+    return _ref_pairs(n, seed, lambda u, v, r: min(v - u, n - v + u) <= k // 2 or r < p)
+
+
+def _ref_erdos_renyi(n, p, seed):
+    return _ref_pairs(n, seed, lambda u, v, r: r < p)
+
+
+def _family_cases():
+    for n in (3, 4, 7, 30, 61):
+        yield gen_star, _ref_star, (n,)
+        yield gen_complete, _ref_complete, (n,)
+        yield gen_path, _ref_path, (n,)
+        yield gen_double_star, _ref_double_star, (n // 3 + 1,)
+        for seed in (0, 5, 12):
+            for m0, m in ((1, 1), (2, 1), (3, 3)):
+                if m0 < n:
+                    yield gen_ba, _ref_ba, (n, m0, m, seed)
+            for k, p in ((2, 0.0), (2, 0.3), (4, 0.05)):
+                if k < n:
+                    yield gen_nw, _ref_nw, (n, k, p, seed)
+            for p in (0.0, 0.1, 0.5, 1.0):
+                yield gen_erdos_renyi, _ref_erdos_renyi, (n, p, seed)
+    yield gen_erdos_renyi, _ref_erdos_renyi, (1, 0.5, 3)
+
+
+def test_families_equal_their_list_of_pairs_references():
+    for gen, ref, args in _family_cases():
+        g = gen(*args)
+        assert g == build_graph(*ref(*args)), (gen.__name__, args)
+        assert g.edge_array.tolist() == [list(e) for e in g.edges]
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
+
+def _ref_build(n, edges):
+    """build_graph as a set of pairs: same checks, same order, same messages."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one node, got n={n}")
+    canon = set()
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self loop at node {u} not allowed")
+        canon.add((u, v) if u < v else (v, u))
+    return tuple(sorted(canon))
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_build_graph_matches_the_set_reference_on_mixed_input():
+    rng = np.random.default_rng(19)
+    for trial in range(300):
+        n = int(rng.integers(0, 12))
+        pairs = rng.integers(-2, 14, size=(int(rng.integers(0, 10)), 2)).tolist()
+        if trial % 5 == 0 and pairs:  # an id past int64 somewhere
+            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] = 2**63 + trial
+        want = _outcome(_ref_build, n, pairs)
+        for edges in (pairs, [tuple(e) for e in pairs], iter(pairs)):
+            got = _outcome(build_graph, n, edges)
+            assert (got if isinstance(got, str) else got.edges) == want, (n, pairs)
+        if trial % 5:
+            got = _outcome(build_graph, n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+            assert (got if isinstance(got, str) else got.edges) == want, (n, pairs)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_connected, rand_pins
+from pinopt import graphs
 from pinopt.graphs import (
     EdgeListError,
     boundary_weights,
@@ -170,3 +171,80 @@ def test_bundled_dolphin_fixture_loads():
     assert is_connected(g)
     assert int(g.degrees.max()) == 12
     assert int((g.degrees == 1).sum()) == 9
+
+
+# ------------------------------------------- strict reader against the line loop
+
+
+def _read_both(text):
+    """What parse_edge_list and the line loop each make of `text`: the
+    graph, or the text of the EdgeListError (which names the line)."""
+    out = []
+    for read in (parse_edge_list, graphs._parse_lines):
+        try:
+            out.append(read(text))
+        except EdgeListError as exc:
+            out.append(f"EdgeListError: {exc}")
+    return out
+
+
+def _reader_graphs():
+    """Random connected graphs, random graphs with isolated nodes,
+    edgeless graphs and the one-node graph."""
+    rng = np.random.default_rng(17)
+    graphs = [rand_connected(rng, int(rng.integers(2, 40)), extra=int(rng.integers(0, 40)))
+              for _ in range(10)]
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        pairs = rng.integers(0, n // 2 + 1, size=(int(rng.integers(0, n)), 2))
+        graphs.append(build_graph(n, [(u, v) for u, v in pairs.tolist() if u != v]))
+    return graphs + [build_graph(1, []), build_graph(5, []), build_graph(2, [(0, 1)])]
+
+
+def _variants(text):
+    """The same graph written in ways only the line loop reads."""
+    head, _, body = text.partition("\n")
+    lines = body.splitlines()
+    yield "# header\n\n" + text + "\n"
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\t")
+    yield text.replace(" ", "  # gap\n")  # an edge split over two lines: an error
+    yield text[:-1]  # no final newline
+    yield "\n".join([head] + [f"0{u} 00{v}" for u, v in (ln.split() for ln in lines)]) + "\n"
+    yield "\n".join(["+" + head] + [f"+{ln}" for ln in lines]) + "\n"
+    yield text + "\n# trailing comment\n"
+
+
+def test_strict_reader_takes_the_canonical_text(monkeypatch):
+    looped = []
+    loop = graphs._parse_lines
+    monkeypatch.setattr(graphs, "_parse_lines", lambda text: looped.append(text) or loop(text))
+    for g in _reader_graphs():
+        assert parse_edge_list(format_edge_list(g)) == g
+    assert looped == []
+    parse_edge_list(format_edge_list(g, header="a header"))
+    assert len(looped) == 1
+
+
+def test_strict_reader_and_line_loop_agree():
+    texts = []
+    for g in _reader_graphs():
+        text = format_edge_list(g)
+        texts += [text, *_variants(text)]
+    big = 2**63
+    texts += [
+        "4\n0 9\n",
+        "4\n1 1\n",
+        "4\n0 9\n1 1\n",  # the first bad edge in input order is reported
+        "4\n1 1\n0 9\n",
+        "4\n0 1\n1 0\n2 3\n",  # a duplicate in the other orientation
+        "0\n", "0\n0 1\n",
+        f"4\n0 1\n{big} 0\n", f"4\n{big - 1} 1\n", f"4\n1 1\n0 {2**64 + 5}\n",
+        f"{big}\n0 1\n", "999999999999999999\n", "4\n999999999999999999 1\n",
+        f"{graphs.MAX_NODES + 1}\n0 1\n", f"{graphs.MAX_NODES}\n0 1\n",
+        "4\n0 1 2\n", "4\n0\n", "4 1\n", "x\n", "", "\n", "4\n-1 2\n", "4\n0 1\n\n",
+        "4\n0 1\n1 2", "4\n0 1\n1 2\n\n", "4\n0 1\x0c1 2\n", "4\n0 1\n١ 2\n",
+    ]
+    for text in texts:
+        strict, loop = _read_both(text)
+        assert strict == loop, text

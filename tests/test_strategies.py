@@ -246,6 +246,28 @@ def test_degree_mix_runs_share_degree_multiset():
         assert degree_mix_pins(g, 5, 0.6, seed=1, run=run) == pins  # deterministic
 
 
+def test_degree_mix_pins_match_the_list_reference():
+    # the picks gathered and sorted element by element, as a list
+    def reference(g, l, q, seed, run):
+        n_top = round(q * l)
+        tie = np.random.default_rng([seed, run]).permutation(g.n)
+        by_top = np.lexsort((tie, -g.degrees))
+        rest = by_top[n_top:]
+        by_bottom = rest[np.lexsort((tie[rest], g.degrees[rest]))]
+        picked = list(by_top[:n_top]) + list(by_bottom[: l - n_top])
+        return tuple(sorted(int(v) for v in picked))
+
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        g = rand_connected(rng, int(rng.integers(3, 40)), extra=int(rng.integers(0, 30)))
+        for l in sorted({1, g.n - 1, int(rng.integers(1, g.n))}):
+            for q in (0.0, 0.3, 0.5, 1.0):
+                for run in range(3):
+                    got = degree_mix_pins(g, l, q, seed=5, run=run)
+                    assert got == reference(g, l, q, 5, run)
+                    assert all(type(v) is int for v in got)
+
+
 def test_select_degree_mix_aggregates_runs():
     g = gen_double_star(5)
     cfg = StrategyConfig(l=4, q=0.5, seed=7, runs=8)
@@ -476,6 +498,16 @@ def test_greedy_runs_no_full_eigendecomposition(monkeypatch):
     for g in (pinopt.load_dolphins(), _family(2, 150, 62)):
         greedy_max_lambda1(g, 3)
     assert all(order <= RITZ_DEPTH for order in orders), orders
+
+
+def test_searches_leave_the_laplacian_spectrum_uncomputed():
+    # the interlacing ceiling spectrum[l] is one value for every set of size
+    # l and at least each one's lambda1, so it prunes nothing: no search
+    # pays for the full eigensolve
+    for search in (brute_force_max_lambda1, greedy_max_lambda1):
+        for g in (pinopt.load_dolphins(), _family(2, 60, 63)):
+            search(g, 2)
+            assert "spectrum" not in g.__dict__, search.__name__
 
 
 def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
