@@ -23,13 +23,18 @@ pin set of size l, at least each one's lambda1, so it never prunes a
 candidate, and it costs a full eigensolve of the Laplacian.
 
 The second tier, for the candidates the first leaves open, is
-``ritz_ceilings``: from the same all-ones test vector, a few Lanczos
-steps on the candidate's grounded matrix, applied as a masked product
-with the Laplacian, give a Ritz vector whose Rayleigh quotient is still
-an upper bound, and usually far closer to lambda1. The quotient is
-recomputed from that vector and raised by a rounding slack of
-4 n eps max(1, 2 dmax), so it stays an upper bound however inexact the
-Lanczos basis is.
+``ritz_ceilings``: from the same all-ones test vector, Lanczos steps on
+the candidate's grounded matrix give a Ritz vector whose Rayleigh
+quotient is still an upper bound, and usually far closer to lambda1,
+the closer the deeper the Krylov space (Kaniel-Paige-Saad; Saad,
+Numerical Methods for Large Eigenvalue Problems, SIAM 2011, ch. 6).
+Each product with the grounded matrix is a masked product with the
+Laplacian from the graph's neighbour lists (``Graph.ell``), O(m). The
+quotient is recomputed from that vector and raised by a rounding slack
+of 4 n eps max(1, 2 dmax), so it stays an upper bound at every depth,
+however inexact the Lanczos basis is. The searches give a candidate a
+deeper space only while it can still beat the best set found
+(``strategies._pruned_argmax``).
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
     return float(w.min()), float(w.mean())
 
 
-# bytes of the (rows, l, l) blocks pin_set_ceilings gathers at a time
+# bytes of the temporaries pin_set_ceilings holds for one chunk of rows, about
 _CEILING_CHUNK_BYTES = 1 << 20
 
 
@@ -90,88 +95,122 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1:
     min(min uncontrolled degree, cut(S) / (n - l)).
 
-    cut(S), the number of edges leaving S, is the sum of the Laplacian
-    block L_SS; the min uncontrolled degree is that of the first of the
-    l+1 lowest-degree nodes not in S. Rows are taken in chunks, so no
-    k x n array is formed.
+    cut(S), the number of edges leaving S, is the sum of the degrees in S
+    less twice the edges inside S, an exact integer; the min uncontrolled
+    degree is that of the first of the l+1 lowest-degree nodes not in S.
+    Rows are taken in chunks, so no k x n array is formed.
     """
     k, l = pins.shape
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
     deg = g.degrees
     low = np.argsort(deg, kind="stable")[: l + 1]
+    # each node's place among those l+1, or l+1 if it is not one of them
+    place = np.full(g.n, l + 1)
+    place[low] = np.arange(l + 1)
+    inside = g.laplacian.ravel()
+    first, second = np.triu_indices(l, 1)
     out = np.empty(k)
     step = max(1, _CEILING_CHUNK_BYTES // (8 * l * (l + 1)))
     for start in range(0, k, step):
-        s = pins[start:start + step]
-        cut = g.laplacian[s[:, :, None], s[:, None, :]].sum(axis=(1, 2))
-        free = np.argmin((s[:, :, None] == low).any(axis=1), axis=1)
-        out[start:start + step] = np.minimum(deg[low[free]], cut / (g.n - l))
+        s = pins[start:start + step].astype(np.intp)
+        # the Laplacian is -1 on each edge inside S
+        cut = deg[s].sum(axis=1) + 2.0 * inside[s[:, first] * g.n + s[:, second]].sum(axis=1)
+        taken = np.zeros((len(s), l + 2), dtype=bool)
+        taken[np.arange(len(s))[:, None], place[s]] = True
+        out[start:start + step] = np.minimum(deg[low[np.argmin(taken, axis=1)]], cut / (g.n - l))
     return out
 
 
-# dimension of the Krylov space ritz_ceilings searches
+# the Krylov dimensions the searches give a row: RITZ_DEPTH first, then twice
+# the last, up to RITZ_MAX_DEPTH
 RITZ_DEPTH = 4
+RITZ_MAX_DEPTH = 64
 # bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
-RITZ_CHUNK_BYTES = 128 * 1024
+RITZ_CHUNK_BYTES = 512 * 1024
+_EPS = float(np.finfo(float).eps)
 
 
-def ritz_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
+def ritz_ceilings(
+    g: Graph, pins: np.ndarray, depth: int = RITZ_DEPTH, settled: np.ndarray | None = None
+) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
     of that grounding, tighter than cut(S) / (n - l), the Rayleigh quotient
-    of the all-ones vector.
+    of the all-ones vector, and tighter the larger `depth` is.
 
-    M, the row's grounded matrix, acts in n-space as x -> keep * (x @ L),
-    where keep zeroes the row's pins. From x = keep, the all-ones vector
-    with the row's pins zeroed, Lanczos builds a basis of the Krylov
-    space {x, Mx, ..., M^(d-1) x}, d = RITZ_DEPTH. Its bottom Ritz vector
-    y is zero on the pins, so its Rayleigh quotient bounds lambda1 from
-    above (Courant-Fischer), and in exact arithmetic never exceeds the
-    quotient of x. The quotient is taken from y itself, with one more
-    product, plus `4 * n * eps * max(1, 2 * dmax)` for its rounding, so
-    the bound holds however inexact the basis is; a quotient that is not
-    finite becomes +inf. Rows are taken in chunks whose temporaries stay
-    within RITZ_CHUNK_BYTES.
+    M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
+    where keep zeroes the row's pins; L x is the degree times x minus the
+    sum over the neighbours, O(m) from ``g.ell``. From x = keep, the
+    all-ones vector with the row's pins zeroed, Lanczos builds a basis of
+    the Krylov space {x, Mx, ..., M^(d-1) x}, d = min(depth, n - l), as
+    the space has no more dimensions than M. Its bottom Ritz
+    vector y is zero on the pins, so its Rayleigh quotient bounds lambda1
+    from above (Courant-Fischer), and in exact arithmetic never exceeds
+    the quotient of x or that of a shallower depth. The quotient is taken
+    from y itself, with one more product, plus
+    `4 * n * eps * max(1, 2 * dmax)` for its rounding, so the bound holds
+    however inexact the basis is, in any summation order; a quotient that
+    is not finite becomes +inf. If `settled` is given (k bools), it is set
+    where Lanczos broke down: that row's Krylov space stopped growing
+    before depth d, so no deeper space holds a better vector. Rows are
+    taken in chunks whose temporaries stay within about RITZ_CHUNK_BYTES.
     """
-    lap = g.laplacian
-    n, d = g.n, RITZ_DEPTH
+    n, d = g.n, min(depth, g.n - pins.shape[1])
+    # vectors are (n + 1, k): a row per node in rank order, then a zero row
+    # that the padding in `blocks` points to; a column per pin set
+    rank, deg, blocks = g.ell
     # 2 * dmax bounds every eigenvalue of M (Gershgorin)
-    top = 2.0 * float(g.degrees.max(initial=0))
-    slack = 4.0 * n * np.finfo(float).eps * max(1.0, top)
+    top = 2.0 * float(deg.max(initial=0.0))
+    slack = 4.0 * n * _EPS * max(1.0, top)
+
+    def times_m(x, keep):
+        y = deg * x
+        for lo, hi, pad in blocks:
+            y[lo:hi] -= x.take(pad, axis=0).sum(axis=0)
+        y *= keep
+        return y
+
     out = np.empty(len(pins))
-    step = max(1, RITZ_CHUNK_BYTES // (8 * n * (d + 5)))
+    # per row, the chunk holds d + 5 vectors and the widest block's gather
+    widest = max((pad.size for _, _, pad in blocks), default=0)
+    step = max(1, RITZ_CHUNK_BYTES // (8 * ((n + 1) * (d + 5) + widest)))
+    diag = np.arange(d)
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]
         k = len(s)
-        keep = np.ones((k, n))
-        keep[np.arange(k)[:, None], s] = 0.0
-        basis = np.empty((k, d, n))
-        v = basis[:, 0]
+        keep = np.ones((n + 1, k))
+        keep[n] = 0.0
+        keep[rank[s.T], np.arange(k)] = 0.0
+        basis = np.zeros((d, n + 1, k))
+        v = basis[0]
         np.divide(keep, np.sqrt(n - pins.shape[1]), out=v)
-        # the tridiagonal Lanczos matrix; a vector past a breakdown is zero and
-        # its diagonal entry lies above every eigenvalue of M
-        h = np.zeros((k, d, d))
+        # the tridiagonal Lanczos matrix, by diagonal and off-diagonal; past a
+        # breakdown (beta 0) the vectors stay zero and the diagonal entries are
+        # set above every eigenvalue of M
+        alpha, beta = np.empty((d, k)), np.zeros((d, k))
         alive = np.ones(k, dtype=bool)
         for j in range(d):
-            w = (v @ lap) * keep
-            h[:, j, j] = np.where(alive, np.einsum("kn,kn->k", v, w), top + 1.0)
+            w = times_m(v, keep)
+            alpha[j] = np.vecdot(v, w, axis=0)
             if j + 1 == d:
                 break
-            w -= h[:, j, j, None] * v
+            w -= alpha[j] * v
             if j:
-                w -= h[:, j, j - 1, None] * basis[:, j - 1]
-            beta = np.sqrt(np.einsum("kn,kn->k", w, w))
-            alive = alive & (beta > 1e-8 * max(1.0, top))
-            beta = np.where(alive, beta, 0.0)
-            h[:, j, j + 1] = h[:, j + 1, j] = beta
-            v = basis[:, j + 1]
-            np.multiply(w, np.where(alive, 1.0 / np.where(alive, beta, 1.0), 0.0)[:, None], out=v)
-        y = np.einsum("kj,kjn->kn", np.linalg.eigh(h)[1][:, :, 0], basis)
-        yy = np.einsum("kn,kn->k", y, y)
-        ymy = np.einsum("kn,kn->k", y, (y @ lap) * keep)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = ymy / yy + slack
+                w -= beta[j - 1] * basis[j - 1]
+            b = np.sqrt(np.vecdot(w, w, axis=0))
+            alive &= b > 1e-8 * max(1.0, top)
+            np.multiply(b, alive, out=beta[j])
+            v = basis[j + 1]
+            np.divide(w, b, out=v, where=alive)
+        alpha[1:][beta[:-1] == 0.0] = top + 1.0
+        h = np.zeros((k, d, d))
+        h[:, diag, diag] = alpha.T
+        h[:, diag[1:], diag[:-1]] = h[:, diag[:-1], diag[1:]] = beta[:-1].T
+        y = np.einsum("kj,jnk->nk", np.linalg.eigh(h)[1][:, :, 0], basis)
+        q = np.vecdot(y, times_m(y, keep), axis=0) / np.vecdot(y, y, axis=0) + slack
         out[lo:lo + step] = np.where(np.isfinite(q), q, np.inf)
+        if settled is not None:
+            settled[lo:lo + step] = ~alive
     return out
 
 

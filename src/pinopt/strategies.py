@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import pin_set_ceilings, ritz_ceilings
+from .bounds import RITZ_DEPTH, RITZ_MAX_DEPTH, pin_set_ceilings, ritz_ceilings
 from .graphs import Graph, connected_components, ground
 
 __all__ = [
@@ -34,7 +34,14 @@ BRUTE_FORCE_BUDGET = 2_000_000
 # lambda1 values within this of the max tie; the searches break ties by order
 TIE_TOL = 1e-9
 # bytes of grounded matrices stacked into one eigensolve, at most
-BATCH_BYTES = 128 * 1024
+BATCH_BYTES = 512 * 1024
+# rows given Ritz ceilings per step of the pruned search's walk down the
+# closed-form ceilings: the first step's count, and the most any step takes
+LAZY_ROWS = (128, 4096)
+# a Lanczos step over a chunk of rows costs about as much as solving one
+# grounded matrix of this order (one BLAS thread); rows are given a deeper
+# Krylov space only where that costs at most half of solving them
+RITZ_STEP_ORDER = 48
 # betweenness runs its sources in chunks whose per-node arrays and per-level
 # edge arrays hold about this many entries (more if one source alone needs it)
 CHUNK_ENTRIES = 1 << 15
@@ -152,10 +159,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     `bc` adds the sources in id order.
     """
     n = g.n
-    nbrs = g.neighbors
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum([len(row) for row in nbrs], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(nbrs), dtype=np.intp, count=indptr[-1])
+    indptr, indices = g.csr
     deg = np.diff(indptr)
     chunk = max(1, CHUNK_ENTRIES // max(n, len(indices)))
     bc = np.zeros(n)
@@ -304,40 +308,104 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
+def _ritz_tier(g: Graph, pins: np.ndarray, rows: np.ndarray, tight: np.ndarray,
+               floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ritz ceilings at RITZ_DEPTH for `rows` of `pins`, whose ceilings so
+    far are `tight`: (rows, ceilings, depths) of the rows still at or above
+    `floor`. More rows than a first walking step holds get the half-depth
+    ceiling first, which costs about half as much per row and, deep in the
+    walk, leaves few rows for the full one. A row whose Lanczos broke down
+    has its final ceiling, and its depth is RITZ_MAX_DEPTH."""
+    done = np.zeros(len(rows), dtype=bool)
+    if len(rows) > LAZY_ROWS[0]:
+        tight = np.minimum(tight, ritz_ceilings(g, pins[rows], RITZ_DEPTH // 2, done))
+        live = tight >= floor
+        rows, tight, done = rows[live], tight[live], done[live]
+    more = np.flatnonzero(~done)
+    broke = np.zeros(len(more), dtype=bool)
+    tight[more] = np.minimum(tight[more], ritz_ceilings(g, pins[rows[more]], RITZ_DEPTH, broke))
+    done[more] = broke
+    return rows, tight, np.where(done, RITZ_MAX_DEPTH, RITZ_DEPTH)
+
+
 def _pruned_argmax(g: Graph, pins: np.ndarray) -> tuple[int, float]:
     """The winning row of `pins` (k x l node ids, in the order that breaks
     ties) and its lambda1, solving only the rows the ceilings leave open.
 
     Every row gets the closed-form ceiling ``bounds.pin_set_ceilings``,
-    and the row of highest ceiling is solved first. Every other row whose
-    ceiling still reaches best - TIE_TOL then gets the tighter
-    ``bounds.ritz_ceilings`` from the all-ones vector, and the rows are
-    solved in descending order of their ceiling (row order within equal
-    ceilings), in stacked batches of 2, 4, ... matrices up to
-    BATCH_BYTES, until the next ceiling is below best - TIE_TOL: no row
-    left can then come within TIE_TOL of the max. The winner is the
-    first row whose lambda1 is at least max - TIE_TOL, the same row
-    that solving every row would give.
+    and the row of highest ceiling is solved first; best is the largest
+    lambda1 solved so far, and a row is open once it has a Ritz ceiling
+    and is neither solved nor dropped. The search repeats:
+    - If no open row's ceiling reaches the next closed-form ceiling, it
+      walks on down the closed-form ceilings (row order within equal
+      ones): at most LAZY_ROWS[0] rows at the first step and twice as many
+      at each next one, up to LAZY_ROWS[1], and only rows above every
+      open ceiling and above best - TIE_TOL. Those get Ritz ceilings
+      (``bounds.ritz_ceilings``) at RITZ_DEPTH and become open.
+    - Otherwise it works on the open rows ahead of that next ceiling (and
+      right after a walk, on the highest open row even if it is not
+      ahead), in turns. One turn gives the shallowest of them a Krylov
+      space twice as deep, if that is cheap beside the solve it could
+      spare: at most RITZ_MAX_DEPTH and a quarter of the grounded order,
+      and its Lanczos steps at most half the cost of solving the next
+      batch, RITZ_STEP_ORDER pricing a step. The other turn solves the
+      highest open rows in a stacked batch of 1, 2, 4, ... matrices, up
+      to BATCH_BYTES.
+    An open row whose ceiling falls below best - TIE_TOL is dropped. The
+    search ends when no row is open and the next closed-form ceiling is
+    below best - TIE_TOL: no row left can then come within TIE_TOL of the
+    max. The winner is the first row whose lambda1 is at least
+    max - TIE_TOL, the same row that solving every row would give.
     """
+    k, l = pins.shape
+    size = g.n - l
     ceilings = pin_set_ceilings(g, pins)
     order = np.argsort(-ceilings, kind="stable")
-    vals = np.full(len(pins), -np.inf)
-    vals[order[0]] = g.grounded_lambda1s(pins[order[:1]])[0]
-    best = float(vals[order[0]])
-    rest = order[1:][ceilings[order[1:]] >= best - TIE_TOL]
-    tight = np.minimum(ceilings[rest], ritz_ceilings(g, pins[rest]))
-    rank = np.argsort(-tight, kind="stable")
-    order, sorted_ceilings = rest[rank], tight[rank]
-    cap = max(1, BATCH_BYTES // (8 * (g.n - pins.shape[1]) ** 2))
-    pos, size = 0, min(2, cap)
-    while pos < len(order) and sorted_ceilings[pos] >= best - TIE_TOL:
-        batch = order[pos:pos + size][sorted_ceilings[pos:pos + size] >= best - TIE_TOL]
-        vals[batch] = g.grounded_lambda1s(pins[batch])
-        best = max(best, float(vals[batch].max()))
-        pos += size
-        size = min(2 * size, cap)
-    win = int(np.flatnonzero(vals >= best - TIE_TOL)[0])
-    return win, float(vals[win])
+    cap = max(1, BATCH_BYTES // (8 * size ** 2))
+    solved, vals = [order[:1]], [g.grounded_lambda1s(pins[order[:1]])]
+    best = float(vals[0][0])
+    # the open rows in descending order of ceiling, with their Krylov depths
+    rows, tight, depth = np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
+    pos, step, batch, deepen, walked = 1, LAZY_ROWS[0], 1, True, False
+    while True:
+        floor = best - TIE_TOL
+        live = np.count_nonzero(tight >= floor)
+        rows, tight, depth = rows[:live], tight[:live], depth[:live]
+        nxt = ceilings[order[pos]] if pos < k else -np.inf
+        if live and (tight[0] >= nxt or walked):
+            ahead = max(1, np.count_nonzero(tight >= nxt))
+            grow = np.flatnonzero(depth[:ahead] == depth[:ahead].min())
+            deeper = 2 * int(depth[grow[0]])
+            if (deepen and deeper <= RITZ_MAX_DEPTH and 4 * deeper <= size
+                    and min(len(grow), batch) * size ** 3 >= 2 * (deeper + 1) * RITZ_STEP_ORDER ** 3):
+                done = np.zeros(len(grow), dtype=bool)
+                tight[grow] = np.minimum(tight[grow], ritz_ceilings(g, pins[rows[grow]], deeper, done))
+                depth[grow] = np.where(done, RITZ_MAX_DEPTH, deeper)
+                deepen = False
+            else:
+                take = min(batch, ahead)
+                solved.append(rows[:take])
+                vals.append(g.grounded_lambda1s(pins[rows[:take]]))
+                best = max(best, float(vals[-1].max()))
+                rows, tight, depth = rows[take:], tight[take:], depth[take:]
+                batch, deepen, walked = min(2 * batch, cap), True, False
+                continue
+        elif nxt >= floor:
+            new = order[pos:pos + step]
+            new = new[ceilings[new] >= (tight[0] if live else floor)]
+            pos, step = pos + len(new), min(2 * step, LAZY_ROWS[1])
+            new, ritz, new_depth = _ritz_tier(g, pins, new, ceilings[new], floor)
+            rows, tight = np.concatenate((rows, new)), np.concatenate((tight, ritz))
+            depth = np.concatenate((depth, new_depth))
+            deepen, walked = True, True
+        else:
+            break
+        rank = np.argsort(-tight, kind="stable")
+        rows, tight, depth = rows[rank], tight[rank], depth[rank]
+    solved, vals = np.concatenate(solved), np.concatenate(vals)
+    hit = np.flatnonzero(vals >= best - TIE_TOL)
+    win = hit[np.argmin(solved[hit])]
+    return int(solved[win]), float(vals[win])
 
 
 def brute_force_max_lambda1(
@@ -349,10 +417,12 @@ def brute_force_max_lambda1(
     lambda1 is at least max - TIE_TOL, whatever order the sets are
     solved in. Pruning: every set gets the ceiling
     ``bounds.pin_set_ceilings`` (min uncontrolled degree, mean boundary
-    weight), the sets it leaves open after the first solve
-    get ``bounds.ritz_ceilings`` from the all-ones vector, and sets are
-    solved from the highest ceiling down until no set left can reach the
-    tie window. Refuses to start when C(n, l) exceeds the budget.
+    weight); walking down those ceilings, only the sets that can still
+    beat the best lambda1 found get ``bounds.ritz_ceilings`` from the
+    all-ones vector, deeper ones while that is cheap beside solving them,
+    and sets are solved from the highest ceiling down until no set left
+    can reach the tie window (``_pruned_argmax``). Refuses to start when
+    C(n, l) exceeds the budget.
     """
     _check_l(g, l)
     count = math.comb(g.n, l)

@@ -134,6 +134,58 @@ def test_ritz_ceilings_bound_lambda1(monkeypatch, chunk_bytes):
     assert cases > 1000
 
 
+def _ladder():
+    """Every Krylov depth the pruned search gives a row: half of RITZ_DEPTH,
+    then RITZ_DEPTH doubling up to RITZ_MAX_DEPTH."""
+    depths = [pinopt.bounds.RITZ_DEPTH // 2, pinopt.bounds.RITZ_DEPTH]
+    while depths[-1] < pinopt.bounds.RITZ_MAX_DEPTH:
+        depths.append(2 * depths[-1])
+    return depths
+
+
+def _split_cases():
+    """(graph, pins) whose uncontrolled nodes fall into several components,
+    some cut off from every pin: paths and a ring cut by interior pins, a
+    barbell pinned at its bridge, and a double star pinned at both hubs."""
+    barbell = build_graph(10, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                          + [(u, v) for u in range(5, 10) for v in range(u + 1, 10)] + [(4, 5)])
+    ring = build_graph(12, [(i, (i + 1) % 12) for i in range(12)])
+    split_rows = [(gen_path(9), [[2, 6], [4, 5], [0, 4]]), (ring, [[0, 4, 8], [0, 6, 7]]),
+                  (barbell, [[4, 5], [4], [0, 4]]), (gen_double_star(4), [[0, 1], [0]]),
+                  (build_graph(8, [(0, 1), (1, 2), (4, 5)]), [[1], [4, 1]])]
+    for g, rows in split_rows:
+        for row in rows:
+            yield g, np.array([row])
+
+
+def test_ritz_ceilings_bound_lambda1_at_every_depth():
+    # each depth is an upper bound on lambda1 by the recompute-plus-slack
+    # argument, on random graphs, stars, complete graphs (Lanczos breaks down
+    # at once) and pin sets that split the uncontrolled nodes; a deeper space
+    # holds the shallower one, so its ceiling is never higher by more than the
+    # rounding slack; a row whose Lanczos broke down gains nothing deeper
+    cases = 0
+    for g, rows in [*_ritz_cases(), *_split_cases()]:
+        exact = np.array([np.linalg.eigvalsh(ground(g, row).matrix)[0] for row in rows])
+        slack = 4.0 * g.n * np.finfo(float).eps * max(1.0, 2.0 * float(g.degrees.max(initial=0)))
+        last = settled = None
+        for depth in _ladder():
+            broke = np.zeros(len(rows), dtype=bool)
+            got = ritz_ceilings(g, rows, depth, broke)
+            assert np.all(got >= exact), (g, rows, depth)
+            if last is not None:
+                assert np.all(got <= last + slack), (g, rows, depth)
+                assert np.all(got[settled] >= last[settled] - slack), (g, rows, depth)
+                assert np.all(broke[settled]), (g, rows, depth)
+            last, settled = got, broke
+            cases += len(rows)
+    assert cases > 5000
+    for g in (gen_star(9), gen_complete(7)):
+        broke = np.zeros(g.n - 2, dtype=bool)
+        ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]), pinopt.bounds.RITZ_DEPTH, broke)
+        assert broke.all(), g
+
+
 def test_ritz_ceilings_tighten_the_closed_forms():
     rng = np.random.default_rng(37)
     for _ in range(20):

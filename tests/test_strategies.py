@@ -7,7 +7,7 @@ import pinopt
 import pinopt.strategies
 from conftest import betweenness_by_enumeration, rand_connected
 from test_acceptance import _suite
-from pinopt.bounds import RITZ_DEPTH
+from pinopt.bounds import RITZ_MAX_DEPTH
 from pinopt.generators import (
     gen_ba,
     gen_complete,
@@ -466,6 +466,79 @@ def test_pruned_greedy_equals_unpruned_greedy_at_deck_size():
         assert (res.pin_set, res.lambda1) == _plain_greedy(g, 3), n
 
 
+@pytest.mark.parametrize("lazy_rows", [(1, 1), (2, 1 << 30), None, (1 << 30, 1 << 30)],
+                         ids=["one_row", "doubling", "default", "all_rows"])
+def test_pruned_searches_equal_plain_enumeration_where_ceilings_tie(monkeypatch, lazy_rows):
+    # on a ring lattice, a complete graph and a grid the closed-form ceilings
+    # of many sets tie and do not separate them; walking one row at a time
+    # checks the stop rule at every chunk boundary, all rows at once checks
+    # a single chunk
+    if lazy_rows is not None:
+        monkeypatch.setattr(pinopt.strategies, "LAZY_ROWS", lazy_rows)
+    ring = gen_nw(24, 4, 0.0, 0)
+    for g, l in [(ring, 2), (ring, 3), (gen_complete(9), 3), (_grid(5), 2)]:
+        res = brute_force_max_lambda1(g, l)
+        assert (res.pin_set, res.lambda1) == _plain_brute_force(g, l), (g.n, l)
+        res = greedy_max_lambda1(g, l)
+        assert (res.pin_set, res.lambda1) == _plain_greedy(g, l), (g.n, l)
+
+
+def test_pruned_searches_equal_plain_enumeration_at_every_rung(monkeypatch):
+    # with the cost of a Lanczos step set to nothing, every open row climbs
+    # the depth ladder as far as the grounded order allows before it is solved
+    monkeypatch.setattr(pinopt.strategies, "RITZ_STEP_ORDER", 1)
+    deepened = []
+    ritz = pinopt.strategies.ritz_ceilings
+
+    def recorded(g, pins, depth=pinopt.bounds.RITZ_DEPTH, settled=None):
+        deepened.append(depth)
+        return ritz(g, pins, depth, settled)
+
+    monkeypatch.setattr(pinopt.strategies, "ritz_ceilings", recorded)
+    for g, l in [(gen_nw(72, 4, 0.0, 0), 2), (_grid(6), 2), (pinopt.load_dolphins(), 2)]:
+        res = brute_force_max_lambda1(g, l)
+        assert (res.pin_set, res.lambda1) == _plain_brute_force(g, l), (g.n, l)
+    for i, n in enumerate((70, 140)):
+        g = _family(i, n, 64 + i)
+        res = greedy_max_lambda1(g, 3)
+        assert (res.pin_set, res.lambda1) == _plain_greedy(g, 3), n
+    assert {2, 4, 8, 16} <= set(deepened), sorted(set(deepened))
+
+
+def test_pruned_search_keeps_the_whole_tie_window(monkeypatch):
+    # rows 5..19 lie within TIE_TOL of the max, row 2999, but below it by far
+    # more than any rounding slack, and every ceiling is that close to its
+    # value; the max is solved first, so a search that pruned at the max
+    # instead of max - TIE_TOL, at any stage, would lose the first of them
+    lam = np.linspace(0.0, 0.5, 3000)
+    lam[5:20] = 1.0 - 0.5 * TIE_TOL
+    lam[2999] = 1.0
+
+    def ceilings(g, pins, *args):
+        return lam[pins[:, 0]] + 1e-12
+
+    monkeypatch.setattr(pinopt.strategies, "pin_set_ceilings", ceilings)
+    monkeypatch.setattr(pinopt.strategies, "ritz_ceilings", ceilings)
+    monkeypatch.setattr(Graph, "grounded_lambda1s", lambda g, pins: lam[pins[:, 0]])
+    g = build_graph(3001, [])
+    assert pinopt.strategies._pruned_argmax(g, np.arange(3000)[:, None]) == (5, lam[5])
+
+
+def test_lazy_ritz_gives_few_rows_a_ritz_ceiling(monkeypatch):
+    # the closed forms leave 260 of the C(62, 2) = 1891 dolphin pairs at or
+    # above the max; the walk down them gives Ritz ceilings to about as many
+    rows = set()
+    ritz = pinopt.strategies.ritz_ceilings
+
+    def recorded(g, pins, *args, **kwargs):
+        rows.update(map(tuple, pins.tolist()))
+        return ritz(g, pins, *args, **kwargs)
+
+    monkeypatch.setattr(pinopt.strategies, "ritz_ceilings", recorded)
+    brute_force_max_lambda1(pinopt.load_dolphins(), 2)
+    assert len(rows) <= 300
+
+
 def test_ritz_ceilings_prune_most_rows(monkeypatch):
     # rows solved per search: the closed-form ceilings alone leave 260 of the
     # C(62, 2) = 1891 dolphin pairs and 132 greedy candidates to solve
@@ -486,7 +559,8 @@ def test_ritz_ceilings_prune_most_rows(monkeypatch):
 
 def test_greedy_runs_no_full_eigendecomposition(monkeypatch):
     # a round bounds its candidates with ceilings alone: the only eigh is the
-    # batched one over the small Lanczos matrices of the Ritz tier
+    # batched one over the small Lanczos matrices of the Ritz tier, at most
+    # the deepest Krylov space the tier gives
     orders = []
     eigh = np.linalg.eigh
 
@@ -497,7 +571,7 @@ def test_greedy_runs_no_full_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     for g in (pinopt.load_dolphins(), _family(2, 150, 62)):
         greedy_max_lambda1(g, 3)
-    assert all(order <= RITZ_DEPTH for order in orders), orders
+    assert all(order <= RITZ_MAX_DEPTH for order in orders), orders
 
 
 def test_searches_leave_the_laplacian_spectrum_uncomputed():
