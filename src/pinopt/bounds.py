@@ -122,8 +122,8 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     return out
 
 
-# the Krylov dimensions the searches give a row: RITZ_DEPTH first, then twice
-# the last, up to RITZ_MAX_DEPTH
+# the Krylov dimensions the searches give a row: RITZ_DEPTH (after half of it
+# on long walks), then twice the last, up to RITZ_MAX_DEPTH
 RITZ_DEPTH = 4
 RITZ_MAX_DEPTH = 64
 # bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
@@ -207,7 +207,8 @@ def ritz_ceilings(
         h[:, diag, diag] = alpha.T
         h[:, diag[1:], diag[:-1]] = h[:, diag[:-1], diag[1:]] = beta[:-1].T
         y = np.einsum("kj,jnk->nk", np.linalg.eigh(h)[1][:, :, 0], basis)
-        q = np.vecdot(y, times_m(y, keep), axis=0) / np.vecdot(y, y, axis=0) + slack
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.vecdot(y, times_m(y, keep), axis=0) / np.vecdot(y, y, axis=0) + slack
         out[lo:lo + step] = np.where(np.isfinite(q), q, np.inf)
         if settled is not None:
             settled[lo:lo + step] = ~alive

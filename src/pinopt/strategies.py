@@ -39,8 +39,9 @@ BATCH_BYTES = 512 * 1024
 # closed-form ceilings: the first step's count, and the most any step takes
 LAZY_ROWS = (128, 4096)
 # a Lanczos step over a chunk of rows costs about as much as solving one
-# grounded matrix of this order (one BLAS thread); rows are given a deeper
-# Krylov space only where that costs at most half of solving them
+# grounded matrix of this order (timed with one BLAS thread); open rows get a
+# deeper Krylov space only where its steps cost at most half of the solve
+# batch they could spare
 RITZ_STEP_ORDER = 48
 # betweenness runs its sources in chunks whose per-node arrays and per-level
 # edge arrays hold about this many entries (more if one source alone needs it)
@@ -341,7 +342,8 @@ def _pruned_argmax(g: Graph, pins: np.ndarray) -> tuple[int, float]:
       ones): at most LAZY_ROWS[0] rows at the first step and twice as many
       at each next one, up to LAZY_ROWS[1], and only rows above every
       open ceiling and above best - TIE_TOL. Those get Ritz ceilings
-      (``bounds.ritz_ceilings``) at RITZ_DEPTH and become open.
+      (``bounds.ritz_ceilings``) at RITZ_DEPTH, after a half-depth one on
+      steps past the first (``_ritz_tier``), and become open.
     - Otherwise it works on the open rows ahead of that next ceiling (and
       right after a walk, on the highest open row even if it is not
       ahead), in turns. One turn gives the shallowest of them a Krylov
