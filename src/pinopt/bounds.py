@@ -55,6 +55,7 @@ __all__ = [
     "boundary_bounds",
     "pin_set_ceilings",
     "ritz_ceilings",
+    "ritz_chunk_rows",
     "upper_single_pin",
     "necessary_lambda2",
     "feedback_gain_bound",
@@ -127,8 +128,16 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
 RITZ_DEPTH = 4
 RITZ_MAX_DEPTH = 64
 # bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
-RITZ_CHUNK_BYTES = 512 * 1024
+RITZ_CHUNK_BYTES = 1024 * 1024
 _EPS = float(np.finfo(float).eps)
+
+
+def ritz_chunk_rows(g: Graph, depth: int) -> int:
+    """Rows ``ritz_ceilings`` takes per chunk at this depth: as many as keep
+    its temporaries, depth + 5 vectors and the neighbour values of the widest
+    block of ``g.ell`` per row, within RITZ_CHUNK_BYTES, and at least one."""
+    widest = max((pad.size for _, _, pad in g.ell[2]), default=0)
+    return max(1, RITZ_CHUNK_BYTES // (8 * ((g.n + 1) * (depth + 5) + widest)))
 
 
 def ritz_ceilings(
@@ -171,9 +180,7 @@ def ritz_ceilings(
         return y
 
     out = np.empty(len(pins))
-    # per row, the chunk holds d + 5 vectors and the widest block's gather
-    widest = max((pad.size for _, _, pad in blocks), default=0)
-    step = max(1, RITZ_CHUNK_BYTES // (8 * ((n + 1) * (d + 5) + widest)))
+    step = ritz_chunk_rows(g, d)
     diag = np.arange(d)
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]

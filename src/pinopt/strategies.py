@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import RITZ_DEPTH, RITZ_MAX_DEPTH, pin_set_ceilings, ritz_ceilings
+from .bounds import RITZ_DEPTH, RITZ_MAX_DEPTH, pin_set_ceilings, ritz_ceilings, ritz_chunk_rows
 from .graphs import Graph, connected_components, ground
 
 __all__ = [
@@ -313,12 +313,12 @@ def _ritz_tier(g: Graph, pins: np.ndarray, rows: np.ndarray, tight: np.ndarray,
                floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ritz ceilings at RITZ_DEPTH for `rows` of `pins`, whose ceilings so
     far are `tight`: (rows, ceilings, depths) of the rows still at or above
-    `floor`. More rows than a first walking step holds get the half-depth
-    ceiling first, which costs about half as much per row and, deep in the
-    walk, leaves few rows for the full one. A row whose Lanczos broke down
+    `floor`. More rows than one chunk of ``ritz_ceilings`` holds get the
+    half-depth ceiling first, which costs about half as much per row and
+    usually leaves few rows for the full one. A row whose Lanczos broke down
     has its final ceiling, and its depth is RITZ_MAX_DEPTH."""
     done = np.zeros(len(rows), dtype=bool)
-    if len(rows) > LAZY_ROWS[0]:
+    if len(rows) > ritz_chunk_rows(g, RITZ_DEPTH):
         tight = np.minimum(tight, ritz_ceilings(g, pins[rows], RITZ_DEPTH // 2, done))
         live = tight >= floor
         rows, tight, done = rows[live], tight[live], done[live]
@@ -343,7 +343,7 @@ def _pruned_argmax(g: Graph, pins: np.ndarray) -> tuple[int, float]:
       at each next one, up to LAZY_ROWS[1], and only rows above every
       open ceiling and above best - TIE_TOL. Those get Ritz ceilings
       (``bounds.ritz_ceilings``) at RITZ_DEPTH, after a half-depth one on
-      steps past the first (``_ritz_tier``), and become open.
+      steps longer than a chunk (``_ritz_tier``), and become open.
     - Otherwise it works on the open rows ahead of that next ceiling (and
       right after a walk, on the highest open row even if it is not
       ahead), in turns. One turn gives the shallowest of them a Krylov
