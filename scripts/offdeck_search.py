@@ -9,7 +9,7 @@ the wall time of the search, the peak RSS of the process, the rows given
 a Ritz ceiling at each Krylov depth, the rows solved, and the winning
 set with the repr of its lambda1. The counts come from wrapping
 ``strategies.ritz_ceilings`` and ``Graph.grounded_lambda1s``, so the
-script also runs against older checkouts, whose Ritz tier has one depth.
+script also runs against older checkouts.
 """
 
 from __future__ import annotations

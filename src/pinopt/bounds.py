@@ -33,8 +33,14 @@ Laplacian from the graph's neighbour lists (``Graph.ell``), O(m). The
 quotient is recomputed from that vector and raised by a rounding slack
 of 4 n eps max(1, 2 dmax), so it stays an upper bound at every depth,
 however inexact the Lanczos basis is. The searches give a candidate a
-deeper space only while it can still beat the best set found
+Ritz ceiling only while it can still beat the best set found
 (``strategies._pruned_argmax``).
+
+Greedy's rounds have a better test vector than the all-ones one: the
+bottom eigenvector of the last round's winner, from one step of inverse
+iteration (``bottom_vector``). With the entry of node v zeroed, its
+Rayleigh quotient bounds the set that adds v (``after_pin_ceilings``),
+and the Ritz ceilings start from it.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ __all__ = [
     "boundary_bounds",
     "pin_set_ceilings",
     "ritz_ceilings",
-    "ritz_chunk_rows",
+    "bottom_vector",
+    "after_pin_ceilings",
     "upper_single_pin",
     "necessary_lambda2",
     "feedback_gain_bound",
@@ -123,16 +130,14 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     return out
 
 
-# the Krylov dimensions the searches give a row: RITZ_DEPTH (after half of it
-# on long walks), then twice the last, up to RITZ_MAX_DEPTH
+# the Krylov dimension of the searches' Ritz ceilings
 RITZ_DEPTH = 4
-RITZ_MAX_DEPTH = 64
 # bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
-RITZ_CHUNK_BYTES = 1024 * 1024
+RITZ_CHUNK_BYTES = 512 * 1024
 _EPS = float(np.finfo(float).eps)
 
 
-def ritz_chunk_rows(g: Graph, depth: int) -> int:
+def _ritz_chunk_rows(g: Graph, depth: int) -> int:
     """Rows ``ritz_ceilings`` takes per chunk at this depth: as many as keep
     its temporaries, depth + 5 vectors and the neighbour values of the widest
     block of ``g.ell`` per row, within RITZ_CHUNK_BYTES, and at least one."""
@@ -141,16 +146,18 @@ def ritz_chunk_rows(g: Graph, depth: int) -> int:
 
 
 def ritz_ceilings(
-    g: Graph, pins: np.ndarray, depth: int = RITZ_DEPTH, settled: np.ndarray | None = None
+    g: Graph, pins: np.ndarray, depth: int = RITZ_DEPTH, start: np.ndarray | None = None
 ) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
-    of that grounding, tighter than cut(S) / (n - l), the Rayleigh quotient
-    of the all-ones vector, and tighter the larger `depth` is.
+    of that grounding, tighter than the Rayleigh quotient of its start
+    vector, and tighter the larger `depth` is. The start is `start`, an
+    n-vector, or else the all-ones vector, whose quotient is
+    cut(S) / (n - l), in either case with the row's pins zeroed.
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
     where keep zeroes the row's pins; L x is the degree times x minus the
-    sum over the neighbours, O(m) from ``g.ell``. From x = keep, the
-    all-ones vector with the row's pins zeroed, Lanczos builds a basis of
+    sum over the neighbours, O(m) from ``g.ell``. From x, the start with
+    the row's pins zeroed, Lanczos builds a basis of
     the Krylov space {x, Mx, ..., M^(d-1) x}, d = min(depth, n - l), as
     the space has no more dimensions than M. Its bottom Ritz
     vector y is zero on the pins, so its Rayleigh quotient bounds lambda1
@@ -159,10 +166,9 @@ def ritz_ceilings(
     from y itself, with one more product, plus
     `4 * n * eps * max(1, 2 * dmax)` for its rounding, so the bound holds
     however inexact the basis is, in any summation order; a quotient that
-    is not finite becomes +inf. If `settled` is given (k bools), it is set
-    where Lanczos broke down: that row's Krylov space stopped growing
-    before depth d, so no deeper space holds a better vector. Rows are
-    taken in chunks whose temporaries stay within about RITZ_CHUNK_BYTES.
+    is not finite, as from a start that is zero on the row's uncontrolled
+    nodes, becomes +inf. Rows are taken in chunks whose
+    temporaries stay within about RITZ_CHUNK_BYTES.
     """
     n, d = g.n, min(depth, g.n - pins.shape[1])
     # vectors are (n + 1, k): a row per node in rank order, then a zero row
@@ -179,8 +185,11 @@ def ritz_ceilings(
         y *= keep
         return y
 
+    x0 = np.ones((n + 1, 1))
+    if start is not None:
+        x0[rank, 0] = start
     out = np.empty(len(pins))
-    step = ritz_chunk_rows(g, d)
+    step = _ritz_chunk_rows(g, d)
     diag = np.arange(d)
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]
@@ -190,7 +199,9 @@ def ritz_ceilings(
         keep[rank[s.T], np.arange(k)] = 0.0
         basis = np.zeros((d, n + 1, k))
         v = basis[0]
-        np.divide(keep, np.sqrt(n - pins.shape[1]), out=v)
+        np.multiply(keep, x0, out=v)
+        norm = np.sqrt(np.einsum("nk,nk->k", v, v))
+        np.divide(v, norm, out=v, where=norm > 0.0)
         # the tridiagonal Lanczos matrix, by diagonal and off-diagonal; past a
         # breakdown (beta 0) the vectors stay zero and the diagonal entries are
         # set above every eigenvalue of M
@@ -198,13 +209,13 @@ def ritz_ceilings(
         alive = np.ones(k, dtype=bool)
         for j in range(d):
             w = times_m(v, keep)
-            alpha[j] = np.vecdot(v, w, axis=0)
+            alpha[j] = np.einsum("nk,nk->k", v, w)
             if j + 1 == d:
                 break
             w -= alpha[j] * v
             if j:
                 w -= beta[j - 1] * basis[j - 1]
-            b = np.sqrt(np.vecdot(w, w, axis=0))
+            b = np.sqrt(np.einsum("nk,nk->k", w, w))
             alive &= b > 1e-8 * max(1.0, top)
             np.multiply(b, alive, out=beta[j])
             v = basis[j + 1]
@@ -215,11 +226,42 @@ def ritz_ceilings(
         h[:, diag[1:], diag[:-1]] = h[:, diag[:-1], diag[1:]] = beta[:-1].T
         y = np.einsum("kj,jnk->nk", np.linalg.eigh(h)[1][:, :, 0], basis)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.vecdot(y, times_m(y, keep), axis=0) / np.vecdot(y, y, axis=0) + slack
+            q = np.einsum("nk,nk->k", y, times_m(y, keep)) / np.einsum("nk,nk->k", y, y) + slack
         out[lo:lo + step] = np.where(np.isfinite(q), q, np.inf)
-        if settled is not None:
-            settled[lo:lo + step] = ~alive
     return out
+
+
+def bottom_vector(g: Graph, s: Iterable[int], lam: float) -> np.ndarray:
+    """An n-vector, zero on S and close to the bottom eigenvector of the
+    grounding on S, given lam, that grounding's lambda1: one step of
+    inverse iteration from the all-ones vector, shifted below lam to
+    0.99 lam - 1e-3, where the shifted matrix is positive definite.
+    Scaled to a largest entry of 1."""
+    grounded = ground(g, s)
+    m = grounded.matrix
+    y = np.zeros(g.n)
+    y[grounded.keep] = np.linalg.solve(m - (0.99 * lam - 1e-3) * np.eye(len(m)), np.ones(len(m)))
+    return y / np.abs(y).max()
+
+
+def after_pin_ceilings(g: Graph, y: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Per node v of `free`, an upper bound on lambda1 of every grounding
+    whose pins are v and nodes where y (an n-vector) is zero.
+
+    y with its entry v zeroed as well is zero on those pins, so its
+    Rayleigh quotient, (yLy - 2 y_v (Ly)_v + y_v^2 deg(v)) / (yy - y_v^2),
+    bounds lambda1 from above (Courant-Fischer), however far y is from an
+    eigenvector. It is raised by 16 n eps max(1, 2 dmax) for its rounding,
+    which holds where y_v^2 <= yy / 2; elsewhere, at most one node, and
+    where the quotient is not finite, the ceiling is +inf. With y from
+    ``bottom_vector`` of S, these bound the sets S + [v] of a greedy round.
+    """
+    ly, yy = g.laplacian @ y, y @ y
+    yv = y[free]
+    slack = 16.0 * g.n * _EPS * max(1.0, 2.0 * float(g.degrees.max(initial=0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (y @ ly - 2.0 * yv * ly[free] + yv ** 2 * g.degrees[free]) / (yy - yv ** 2) + slack
+    return np.where((yv ** 2 <= yy / 2.0) & np.isfinite(q), q, np.inf)
 
 
 def upper_single_pin(g: Graph, i: int) -> float:

@@ -180,7 +180,8 @@ class Graph:
         keep = np.ones((k, self.n), dtype=bool)
         keep[np.arange(k)[:, None], pins] = False
         idx = np.nonzero(keep)[1].reshape(k, -1)
-        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0]
+        # a copy, so the k x (n - l) eigenvalues are not kept alive behind it
+        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0].copy()
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import RITZ_DEPTH, RITZ_MAX_DEPTH, pin_set_ceilings, ritz_ceilings, ritz_chunk_rows
+from .bounds import after_pin_ceilings, bottom_vector, pin_set_ceilings, ritz_ceilings
 from .graphs import Graph, connected_components, ground
 
 __all__ = [
@@ -34,15 +34,10 @@ BRUTE_FORCE_BUDGET = 2_000_000
 # lambda1 values within this of the max tie; the searches break ties by order
 TIE_TOL = 1e-9
 # bytes of grounded matrices stacked into one eigensolve, at most
-BATCH_BYTES = 512 * 1024
+BATCH_BYTES = 128 * 1024
 # rows given Ritz ceilings per step of the pruned search's walk down the
-# closed-form ceilings: the first step's count, and the most any step takes
+# first-tier ceilings: the first step's count, and the most any step takes
 LAZY_ROWS = (128, 4096)
-# a Lanczos step over a chunk of rows costs about as much as solving one
-# grounded matrix of this order (timed with one BLAS thread); open rows get a
-# deeper Krylov space only where its steps cost at most half of the solve
-# batch they could spare
-RITZ_STEP_ORDER = 48
 # betweenness runs its sources in chunks whose per-node arrays and per-level
 # edge arrays hold about this many entries (more if one source alone needs it)
 CHUNK_ENTRIES = 1 << 15
@@ -309,105 +304,71 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
-def _ritz_tier(g: Graph, pins: np.ndarray, rows: np.ndarray, tight: np.ndarray,
-               floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ritz ceilings at RITZ_DEPTH for `rows` of `pins`, whose ceilings so
-    far are `tight`: (rows, ceilings, depths) of the rows still at or above
-    `floor`. More rows than one chunk of ``ritz_ceilings`` holds get the
-    half-depth ceiling first, which costs about half as much per row and
-    usually leaves few rows for the full one. A row whose Lanczos broke down
-    has its final ceiling, and its depth is RITZ_MAX_DEPTH."""
-    done = np.zeros(len(rows), dtype=bool)
-    if len(rows) > ritz_chunk_rows(g, RITZ_DEPTH):
-        tight = np.minimum(tight, ritz_ceilings(g, pins[rows], RITZ_DEPTH // 2, done))
-        live = tight >= floor
-        rows, tight, done = rows[live], tight[live], done[live]
-    more = np.flatnonzero(~done)
-    broke = np.zeros(len(more), dtype=bool)
-    tight[more] = np.minimum(tight[more], ritz_ceilings(g, pins[rows[more]], RITZ_DEPTH, broke))
-    done[more] = broke
-    return rows, tight, np.where(done, RITZ_MAX_DEPTH, RITZ_DEPTH)
-
-
-def _pruned_argmax(g: Graph, pins: np.ndarray) -> tuple[int, float]:
+def _pruned_argmax(
+    g: Graph, pins: np.ndarray, tighter: np.ndarray | None = None, start: np.ndarray | None = None
+) -> tuple[int, float]:
     """The winning row of `pins` (k x l node ids, in the order that breaks
     ties) and its lambda1, solving only the rows the ceilings leave open.
 
-    Every row gets the closed-form ceiling ``bounds.pin_set_ceilings``,
-    and the row of highest ceiling is solved first; best is the largest
-    lambda1 solved so far, and a row is open once it has a Ritz ceiling
-    and is neither solved nor dropped. The search repeats:
-    - If no open row's ceiling reaches the next closed-form ceiling, it
-      walks on down the closed-form ceilings (row order within equal
-      ones): at most LAZY_ROWS[0] rows at the first step and twice as many
-      at each next one, up to LAZY_ROWS[1], and only rows above every
-      open ceiling and above best - TIE_TOL. Those get Ritz ceilings
-      (``bounds.ritz_ceilings``) at RITZ_DEPTH, after a half-depth one on
-      steps longer than a chunk (``_ritz_tier``), and become open.
-    - Otherwise it works on the open rows ahead of that next ceiling (and
-      right after a walk, on the highest open row even if it is not
-      ahead), in turns. One turn gives the shallowest of them a Krylov
-      space twice as deep, if that is cheap beside the solve it could
-      spare: at most RITZ_MAX_DEPTH and a quarter of the grounded order,
-      and its Lanczos steps at most half the cost of solving the next
-      batch, RITZ_STEP_ORDER pricing a step. The other turn solves the
-      highest open rows in a stacked batch of 1, 2, 4, ... matrices, up
-      to BATCH_BYTES.
+    Every row gets a first-tier ceiling, the closed form
+    ``bounds.pin_set_ceilings`` or `tighter` (k upper bounds) where that
+    is lower, and the row of highest ceiling is solved first; best is the
+    largest lambda1 solved so far, and a row is open once it has a Ritz
+    ceiling and is neither solved nor dropped. The search repeats:
+    - If some open row's ceiling reaches the next first-tier ceiling, or
+      a walk step has just ended, it solves the highest open rows ahead of
+      that next ceiling (at least one) in a stacked batch of 1, 2, 4, ...
+      matrices, up to BATCH_BYTES.
+    - Otherwise it walks on down the first-tier ceilings (row order
+      within equal ones): at most LAZY_ROWS[0] rows at the first step and
+      twice as many at each next one, up to LAZY_ROWS[1], and only rows
+      above every open ceiling and above best - TIE_TOL. Those get Ritz
+      ceilings (``bounds.ritz_ceilings``) from `start`, all ones if None,
+      and become open.
     An open row whose ceiling falls below best - TIE_TOL is dropped. The
-    search ends when no row is open and the next closed-form ceiling is
+    search ends when no row is open and the next first-tier ceiling is
     below best - TIE_TOL: no row left can then come within TIE_TOL of the
     max. The winner is the first row whose lambda1 is at least
     max - TIE_TOL, the same row that solving every row would give.
     """
     k, l = pins.shape
-    size = g.n - l
     ceilings = pin_set_ceilings(g, pins)
+    if tighter is not None:
+        ceilings = np.minimum(ceilings, tighter)
     order = np.argsort(-ceilings, kind="stable")
-    cap = max(1, BATCH_BYTES // (8 * size ** 2))
-    solved, vals = [order[:1]], [g.grounded_lambda1s(pins[order[:1]])]
-    best = float(vals[0][0])
-    # the open rows in descending order of ceiling, with their Krylov depths
-    rows, tight, depth = np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
-    pos, step, batch, deepen, walked = 1, LAZY_ROWS[0], 1, True, False
+    cap = max(1, BATCH_BYTES // (8 * (g.n - l) ** 2))
+    # the rows solved so far within TIE_TOL of best, and their lambda1
+    near, near_vals = order[:1], g.grounded_lambda1s(pins[order[:1]])
+    best = float(near_vals[0])
+    # the open rows in descending order of ceiling
+    rows, tight = np.empty(0, np.intp), np.empty(0)
+    pos, step, batch, walked = 1, LAZY_ROWS[0], 1, False
     while True:
         floor = best - TIE_TOL
         live = np.count_nonzero(tight >= floor)
-        rows, tight, depth = rows[:live], tight[:live], depth[:live]
+        rows, tight = rows[:live], tight[:live]
         nxt = ceilings[order[pos]] if pos < k else -np.inf
         if live and (tight[0] >= nxt or walked):
-            ahead = max(1, np.count_nonzero(tight >= nxt))
-            grow = np.flatnonzero(depth[:ahead] == depth[:ahead].min())
-            deeper = 2 * int(depth[grow[0]])
-            if (deepen and deeper <= RITZ_MAX_DEPTH and 4 * deeper <= size
-                    and min(len(grow), batch) * size ** 3 >= 2 * (deeper + 1) * RITZ_STEP_ORDER ** 3):
-                done = np.zeros(len(grow), dtype=bool)
-                tight[grow] = np.minimum(tight[grow], ritz_ceilings(g, pins[rows[grow]], deeper, done))
-                depth[grow] = np.where(done, RITZ_MAX_DEPTH, deeper)
-                deepen = False
-            else:
-                take = min(batch, ahead)
-                solved.append(rows[:take])
-                vals.append(g.grounded_lambda1s(pins[rows[:take]]))
-                best = max(best, float(vals[-1].max()))
-                rows, tight, depth = rows[take:], tight[take:], depth[take:]
-                batch, deepen, walked = min(2 * batch, cap), True, False
-                continue
+            take = min(batch, max(1, np.count_nonzero(tight >= nxt)))
+            vals = g.grounded_lambda1s(pins[rows[:take]])
+            best = max(best, float(vals.max()))
+            near, near_vals = np.concatenate((near, rows[:take])), np.concatenate((near_vals, vals))
+            tied = near_vals >= best - TIE_TOL
+            near, near_vals = near[tied], near_vals[tied]
+            rows, tight = rows[take:], tight[take:]
+            batch, walked = min(2 * batch, cap), False
         elif nxt >= floor:
             new = order[pos:pos + step]
             new = new[ceilings[new] >= (tight[0] if live else floor)]
             pos, step = pos + len(new), min(2 * step, LAZY_ROWS[1])
-            new, ritz, new_depth = _ritz_tier(g, pins, new, ceilings[new], floor)
+            ritz = np.minimum(ceilings[new], ritz_ceilings(g, pins[new], start=start))
             rows, tight = np.concatenate((rows, new)), np.concatenate((tight, ritz))
-            depth = np.concatenate((depth, new_depth))
-            deepen, walked = True, True
+            rank = np.argsort(-tight, kind="stable")
+            rows, tight, walked = rows[rank], tight[rank], True
         else:
             break
-        rank = np.argsort(-tight, kind="stable")
-        rows, tight, depth = rows[rank], tight[rank], depth[rank]
-    solved, vals = np.concatenate(solved), np.concatenate(vals)
-    hit = np.flatnonzero(vals >= best - TIE_TOL)
-    win = hit[np.argmin(solved[hit])]
-    return int(solved[win]), float(vals[win])
+    win = np.argmin(near)
+    return int(near[win]), float(near_vals[win])
 
 
 def brute_force_max_lambda1(
@@ -421,10 +382,9 @@ def brute_force_max_lambda1(
     ``bounds.pin_set_ceilings`` (min uncontrolled degree, mean boundary
     weight); walking down those ceilings, only the sets that can still
     beat the best lambda1 found get ``bounds.ritz_ceilings`` from the
-    all-ones vector, deeper ones while that is cheap beside solving them,
-    and sets are solved from the highest ceiling down until no set left
-    can reach the tie window (``_pruned_argmax``). Refuses to start when
-    C(n, l) exceeds the budget.
+    all-ones vector, and sets are solved from the highest ceiling down
+    until no set left can reach the tie window (``_pruned_argmax``).
+    Refuses to start when C(n, l) exceeds the budget.
     """
     _check_l(g, l)
     count = math.comb(g.n, l)
@@ -454,8 +414,12 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     Tie rule: each round adds the smallest node id whose lambda1 is at
     least that round's max - TIE_TOL. A round is the pruned search that
     ``brute_force_max_lambda1`` runs, over the sets current + [v], one
-    per node v not yet pinned, in ascending order of v. A baseline for
-    the exhaustive search: never better, often close.
+    per node v not yet pinned, in ascending order of v; from the second
+    round on, the bottom eigenvector of the grounding on current, from
+    one step of inverse iteration (``bounds.bottom_vector``), gives every
+    set a ceiling (``bounds.after_pin_ceilings``) and starts its Ritz
+    ceiling. A baseline for the exhaustive search: never better, often
+    close.
     """
     _check_l(g, l)
     current: list[int] = []
@@ -464,7 +428,13 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         rows = np.empty((len(free), k + 1), dtype=np.int64)
         rows[:, :k] = current
         rows[:, k] = free
-        win, val = _pruned_argmax(g, rows)
+        if k:
+            # the bottom eigenvector of the last winner, whose lambda1 is val,
+            # near enough, bounds each set current + [v] and starts its Ritz
+            y = bottom_vector(g, current, val)
+            win, val = _pruned_argmax(g, rows, after_pin_ceilings(g, y, free), y)
+        else:
+            win, val = _pruned_argmax(g, rows)
         current.append(int(free[win]))
         free = np.delete(free, win)
     # the last round solved the grounding of exactly this set

@@ -6,6 +6,8 @@ import pytest
 import pinopt.bounds
 from conftest import rand_connected, rand_pins
 from pinopt.bounds import (
+    after_pin_ceilings,
+    bottom_vector,
     bound_report,
     boundary_bounds,
     feedback_gain_bound,
@@ -134,13 +136,8 @@ def test_ritz_ceilings_bound_lambda1(monkeypatch, chunk_bytes):
     assert cases > 1000
 
 
-def _ladder():
-    """Every Krylov depth the pruned search gives a row: half of RITZ_DEPTH,
-    then RITZ_DEPTH doubling up to RITZ_MAX_DEPTH."""
-    depths = [pinopt.bounds.RITZ_DEPTH // 2, pinopt.bounds.RITZ_DEPTH]
-    while depths[-1] < pinopt.bounds.RITZ_MAX_DEPTH:
-        depths.append(2 * depths[-1])
-    return depths
+# Krylov depths checked: below, at and above the searches' RITZ_DEPTH
+DEPTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def _split_cases():
@@ -163,27 +160,72 @@ def test_ritz_ceilings_bound_lambda1_at_every_depth():
     # argument, on random graphs, stars, complete graphs (Lanczos breaks down
     # at once) and pin sets that split the uncontrolled nodes; a deeper space
     # holds the shallower one, so its ceiling is never higher by more than the
-    # rounding slack; a row whose Lanczos broke down gains nothing deeper
+    # rounding slack
     cases = 0
     for g, rows in [*_ritz_cases(), *_split_cases()]:
         exact = np.array([np.linalg.eigvalsh(ground(g, row).matrix)[0] for row in rows])
         slack = 4.0 * g.n * np.finfo(float).eps * max(1.0, 2.0 * float(g.degrees.max(initial=0)))
-        last = settled = None
-        for depth in _ladder():
-            broke = np.zeros(len(rows), dtype=bool)
-            got = ritz_ceilings(g, rows, depth, broke)
+        last = None
+        for depth in DEPTHS:
+            got = ritz_ceilings(g, rows, depth)
             assert np.all(got >= exact), (g, rows, depth)
             if last is not None:
                 assert np.all(got <= last + slack), (g, rows, depth)
-                assert np.all(got[settled] >= last[settled] - slack), (g, rows, depth)
-                assert np.all(broke[settled]), (g, rows, depth)
-            last, settled = got, broke
+            last = got
             cases += len(rows)
     assert cases > 5000
-    for g in (gen_star(9), gen_complete(7)):
-        broke = np.zeros(g.n - 2, dtype=bool)
-        ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]), pinopt.bounds.RITZ_DEPTH, broke)
-        assert broke.all(), g
+    # pinned at the hub, or anywhere in K_n, the start is an eigenvector, so
+    # Lanczos breaks down after one step and every depth gives lambda1
+    # itself, raised by the slack and a rounding of the quotient
+    for g, lam in ((gen_star(9), 1.0), (gen_complete(7), 2.0)):
+        slack = 4.0 * g.n * np.finfo(float).eps * 2.0 * float(g.degrees.max())
+        for depth in DEPTHS:
+            got = ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]), depth)
+            assert np.all((got >= lam) & (got <= lam + 2.0 * slack)), (g, depth, got)
+
+
+def test_ritz_ceilings_bound_lambda1_from_any_start():
+    # any start vector, zeroed on the row's pins, gives an upper bound; the
+    # all-ones start is the default to the bit; a start that vanishes off the
+    # pins gives +inf, never NaN
+    rng = np.random.default_rng(38)
+    cases = 0
+    for g, rows in _ritz_cases():
+        exact = np.array([np.linalg.eigvalsh(ground(g, row).matrix)[0] for row in rows])
+        assert np.array_equal(ritz_ceilings(g, rows, start=np.ones(g.n)), ritz_ceilings(g, rows))
+        for start in (rng.standard_normal(g.n), rng.random(g.n) ** 4):
+            assert np.all(ritz_ceilings(g, rows, start=start) >= exact), (g, rows, start)
+            cases += len(rows)
+        zero = np.zeros(g.n)
+        zero[rows[0]] = 1.0
+        assert ritz_ceilings(g, rows[:1], start=zero)[0] == np.inf, (g, rows[0])
+    assert cases > 1000
+
+
+def test_after_pin_ceilings_bound_every_greedy_row():
+    # from the shifted inverse-iteration vector of S, and from vectors far
+    # from any eigenvector, every set S + [v] is bounded; on connected and
+    # split graphs, with isolated nodes, lambda1 of S zero or not
+    rng = np.random.default_rng(39)
+    cases = 0
+    for g, rows in _ritz_cases():
+        for row in rows[:2]:
+            if len(row) >= g.n - 1:
+                continue
+            free = np.setdiff1d(np.arange(g.n), row)
+            exact = np.array([np.linalg.eigvalsh(ground(g, [*row, v]).matrix)[0] for v in free])
+            y = bottom_vector(g, row, ground(g, row).lambda1)
+            assert np.all(y[row] == 0.0) and np.abs(y).max() == 1.0, (g, row)
+            spike = np.zeros(g.n)
+            spike[free[0]] = 1.0
+            for vec in (y, rng.standard_normal(g.n), spike):
+                vec = np.where(np.isin(np.arange(g.n), row), 0.0, vec)
+                got = after_pin_ceilings(g, vec, free)
+                assert np.all(got >= exact), (g, row, vec)
+                cases += len(free)
+            # the spike is all of y at free[0], so only that row loses its bound
+            assert got[0] == np.inf and np.all(np.isfinite(got[1:])), (g, row)
+    assert cases > 1000
 
 
 def test_ritz_ceilings_tighten_the_closed_forms():
