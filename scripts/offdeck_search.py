@@ -49,7 +49,7 @@ def run_case(name: str) -> dict:
     ritz, solve = strategies.ritz_ceilings, Graph.grounded_lambda1s
 
     def counted_ritz(g, pins, *args, **kwargs):
-        ritz_rows[args[0] if args else kwargs.get("depth", pinopt.bounds.RITZ_DEPTH)] += len(pins)
+        ritz_rows[pinopt.bounds.RITZ_DEPTH] += len(pins)
         return ritz(g, pins, *args, **kwargs)
 
     def counted_solve(g, pins):

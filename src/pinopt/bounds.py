@@ -145,32 +145,29 @@ def _ritz_chunk_rows(g: Graph, depth: int) -> int:
     return max(1, RITZ_CHUNK_BYTES // (8 * ((g.n + 1) * (depth + 5) + widest)))
 
 
-def ritz_ceilings(
-    g: Graph, pins: np.ndarray, depth: int = RITZ_DEPTH, start: np.ndarray | None = None
-) -> np.ndarray:
+def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
     of that grounding, tighter than the Rayleigh quotient of its start
-    vector, and tighter the larger `depth` is. The start is `start`, an
+    vector, and tighter the larger RITZ_DEPTH is. The start is `start`, an
     n-vector, or else the all-ones vector, whose quotient is
     cut(S) / (n - l), in either case with the row's pins zeroed.
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
     where keep zeroes the row's pins; L x is the degree times x minus the
     sum over the neighbours, O(m) from ``g.ell``. From x, the start with
-    the row's pins zeroed, Lanczos builds a basis of
-    the Krylov space {x, Mx, ..., M^(d-1) x}, d = min(depth, n - l), as
-    the space has no more dimensions than M. Its bottom Ritz
-    vector y is zero on the pins, so its Rayleigh quotient bounds lambda1
-    from above (Courant-Fischer), and in exact arithmetic never exceeds
-    the quotient of x or that of a shallower depth. The quotient is taken
-    from y itself, with one more product, plus
-    `4 * n * eps * max(1, 2 * dmax)` for its rounding, so the bound holds
-    however inexact the basis is, in any summation order; a quotient that
-    is not finite, as from a start that is zero on the row's uncontrolled
-    nodes, becomes +inf. Rows are taken in chunks whose
-    temporaries stay within about RITZ_CHUNK_BYTES.
+    the row's pins zeroed, Lanczos builds a basis of the Krylov space
+    {x, Mx, ..., M^(d-1) x}, d = min(RITZ_DEPTH, n - l), as the space has
+    no more dimensions than M. Its bottom Ritz vector y is zero on the
+    pins, so its Rayleigh quotient bounds lambda1 from above
+    (Courant-Fischer), and in exact arithmetic never exceeds the quotient
+    of x or that of a shallower space. The quotient is taken from y
+    itself, with one more product, plus `4 * n * eps * max(1, 2 * dmax)`
+    for its rounding, so the bound holds however inexact the basis is, in
+    any summation order; a quotient that is not finite, as from a start
+    that is zero on the row's uncontrolled nodes, becomes +inf. Rows are
+    taken in chunks whose temporaries stay within about RITZ_CHUNK_BYTES.
     """
-    n, d = g.n, min(depth, g.n - pins.shape[1])
+    n, d = g.n, min(RITZ_DEPTH, g.n - pins.shape[1])
     # vectors are (n + 1, k): a row per node in rank order, then a zero row
     # that the padding in `blocks` points to; a column per pin set
     rank, deg, blocks = g.ell
@@ -238,9 +235,11 @@ def bottom_vector(g: Graph, s: Iterable[int], lam: float) -> np.ndarray:
     0.99 lam - 1e-3, where the shifted matrix is positive definite.
     Scaled to a largest entry of 1."""
     grounded = ground(g, s)
+    # shifted in place: no one else holds this grounding
     m = grounded.matrix
+    m.flat[:: len(m) + 1] -= 0.99 * lam - 1e-3
     y = np.zeros(g.n)
-    y[grounded.keep] = np.linalg.solve(m - (0.99 * lam - 1e-3) * np.eye(len(m)), np.ones(len(m)))
+    y[grounded.keep] = np.linalg.solve(m, np.ones(len(m)))
     return y / np.abs(y).max()
 
 

@@ -315,10 +315,9 @@ def _pruned_argmax(
     is lower, and the row of highest ceiling is solved first; best is the
     largest lambda1 solved so far, and a row is open once it has a Ritz
     ceiling and is neither solved nor dropped. The search repeats:
-    - If some open row's ceiling reaches the next first-tier ceiling, or
-      a walk step has just ended, it solves the highest open rows ahead of
-      that next ceiling (at least one) in a stacked batch of 1, 2, 4, ...
-      matrices, up to BATCH_BYTES.
+    - If some open row's ceiling reaches the next first-tier ceiling, it
+      solves the highest open rows ahead of that next ceiling in a stacked
+      batch of 1, 2, 4, ... matrices, up to BATCH_BYTES.
     - Otherwise it walks on down the first-tier ceilings (row order
       within equal ones): at most LAZY_ROWS[0] rows at the first step and
       twice as many at each next one, up to LAZY_ROWS[1], and only rows
@@ -342,21 +341,21 @@ def _pruned_argmax(
     best = float(near_vals[0])
     # the open rows in descending order of ceiling
     rows, tight = np.empty(0, np.intp), np.empty(0)
-    pos, step, batch, walked = 1, LAZY_ROWS[0], 1, False
+    pos, step, batch = 1, LAZY_ROWS[0], 1
     while True:
         floor = best - TIE_TOL
         live = np.count_nonzero(tight >= floor)
         rows, tight = rows[:live], tight[:live]
         nxt = ceilings[order[pos]] if pos < k else -np.inf
-        if live and (tight[0] >= nxt or walked):
-            take = min(batch, max(1, np.count_nonzero(tight >= nxt)))
+        if live and tight[0] >= nxt:
+            take = min(batch, np.count_nonzero(tight >= nxt))
             vals = g.grounded_lambda1s(pins[rows[:take]])
             best = max(best, float(vals.max()))
             near, near_vals = np.concatenate((near, rows[:take])), np.concatenate((near_vals, vals))
             tied = near_vals >= best - TIE_TOL
             near, near_vals = near[tied], near_vals[tied]
             rows, tight = rows[take:], tight[take:]
-            batch, walked = min(2 * batch, cap), False
+            batch = min(2 * batch, cap)
         elif nxt >= floor:
             new = order[pos:pos + step]
             new = new[ceilings[new] >= (tight[0] if live else floor)]
@@ -364,7 +363,7 @@ def _pruned_argmax(
             ritz = np.minimum(ceilings[new], ritz_ceilings(g, pins[new], start=start))
             rows, tight = np.concatenate((rows, new)), np.concatenate((tight, ritz))
             rank = np.argsort(-tight, kind="stable")
-            rows, tight, walked = rows[rank], tight[rank], True
+            rows, tight = rows[rank], tight[rank]
         else:
             break
     win = np.argmin(near)

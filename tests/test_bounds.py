@@ -155,7 +155,7 @@ def _split_cases():
             yield g, np.array([row])
 
 
-def test_ritz_ceilings_bound_lambda1_at_every_depth():
+def test_ritz_ceilings_bound_lambda1_at_every_depth(monkeypatch):
     # each depth is an upper bound on lambda1 by the recompute-plus-slack
     # argument, on random graphs, stars, complete graphs (Lanczos breaks down
     # at once) and pin sets that split the uncontrolled nodes; a deeper space
@@ -167,7 +167,8 @@ def test_ritz_ceilings_bound_lambda1_at_every_depth():
         slack = 4.0 * g.n * np.finfo(float).eps * max(1.0, 2.0 * float(g.degrees.max(initial=0)))
         last = None
         for depth in DEPTHS:
-            got = ritz_ceilings(g, rows, depth)
+            monkeypatch.setattr(pinopt.bounds, "RITZ_DEPTH", depth)
+            got = ritz_ceilings(g, rows)
             assert np.all(got >= exact), (g, rows, depth)
             if last is not None:
                 assert np.all(got <= last + slack), (g, rows, depth)
@@ -180,7 +181,8 @@ def test_ritz_ceilings_bound_lambda1_at_every_depth():
     for g, lam in ((gen_star(9), 1.0), (gen_complete(7), 2.0)):
         slack = 4.0 * g.n * np.finfo(float).eps * 2.0 * float(g.degrees.max())
         for depth in DEPTHS:
-            got = ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]), depth)
+            monkeypatch.setattr(pinopt.bounds, "RITZ_DEPTH", depth)
+            got = ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]))
             assert np.all((got >= lam) & (got <= lam + 2.0 * slack)), (g, depth, got)
 
 
