@@ -11,17 +11,19 @@ in numpy, :func:`parse_edge_list` reads the canonical text (the one
 and the generators build theirs in numpy. No step between the text and
 the grounded block loops over edges in Python.
 
-Two objects carry the method. A :class:`Graph` keeps its per-graph
-quantities, each computed on first use and then kept: the degrees, the
-edge array, the Laplacian and its full spectrum (both read-only).
-:func:`ground` is the one way to pin a set of nodes: it validates the
-pins and returns a :class:`GroundedLaplacian`, which holds only the
-graph and the mask of unpinned nodes and computes its matrix, boundary
-weights and lambda1 on first use. The Laplacian and every grounded
-matrix come from one builder, the Laplacian being the block that keeps
-every node. A caller that grounds many pin sets of one graph therefore
-builds its per-graph quantities once. Two rules keep the output
-byte-identical to a from-scratch build:
+Two objects carry the method. A :class:`Graph` stores `n` and the edge
+array, O(n + m) state; its degrees, neighbour lists, Laplacian and full
+spectrum are computed on first use and then kept (read-only). The
+spectrum is solved from a Laplacian built for that solve alone, so a
+command that needs only the spectrum and groundings keeps no n x n
+matrix. :func:`ground` is the one way to pin a set of nodes: it
+validates the pins and returns a :class:`GroundedLaplacian`, which
+holds only the graph and the mask of unpinned nodes and computes its
+matrix, boundary weights and lambda1 on first use. The Laplacian and
+every grounded matrix come from one builder, the Laplacian being the
+block that keeps every node. A caller that grounds many pin sets of one
+graph therefore builds its per-graph quantities once. Two rules keep
+the output byte-identical to a from-scratch build:
 
 - The Laplacian's zero off-diagonal entries are ``-0.0``, as negating
   the adjacency matrix gives. LAPACK's Householder reflections see the
@@ -60,38 +62,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple undirected graph on nodes 0..n-1.
 
-    Edges are stored canonically as a sorted tuple of (u, v) pairs with
-    u < v, no duplicates, no self loops. Build instances through
-    :func:`build_graph`, which validates and canonicalizes in numpy and
-    also seeds `edge_array`, the same edges as an (m, 2) array, from
-    which the degrees, neighbours and every matrix are built.
+    It stores `n` and `edge_array`, the edges as a read-only (m, 2) int64
+    array of canonical rows (u, v), u < v, sorted, with no duplicates and
+    no self loops; the degrees, neighbours and every matrix are built
+    from it on first use. Two graphs are equal when `n` and the edge
+    bytes are. Build instances through :func:`build_graph`, which
+    validates and canonicalizes in numpy.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) int64 array; build_graph seeds it."""
-        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+    def _key(self) -> tuple[int, bytes]:
+        return self.n, self.edge_array.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Graph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +144,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -160,10 +157,11 @@ class Graph:
     def spectrum(self) -> np.ndarray:
         """All Laplacian eigenvalues, ascending, read-only.
 
-        No symmetry check (``spectra.eig_sym`` has one): the Laplacian is
-        symmetric by construction and read-only.
+        The Laplacian is built for this solve and freed after it, not
+        kept as `laplacian`. No symmetry check (``spectra.eig_sym`` has
+        one): the matrix is symmetric by construction.
         """
-        vals = np.linalg.eigvalsh(self.laplacian)
+        vals = np.linalg.eigvalsh(_block(self, np.ones(self.n, dtype=bool)))
         vals.flags.writeable = False
         return vals
 
@@ -206,9 +204,7 @@ def build_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
     codes = codes[np.diff(codes, prepend=-1) != 0]
     canon = np.stack(np.divmod(codes, n), axis=1)
     canon.flags.writeable = False
-    g = Graph(n=n, edges=tuple(map(tuple, canon.tolist())))
-    g.__dict__["edge_array"] = canon
-    return g
+    return Graph(n, canon)
 
 
 def _check_edge(n: int, u: int, v: int) -> None:

@@ -283,7 +283,9 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     dt = cfg.dt
 
     if dyn.linear_rate is not None and not adaptive and np.array_equal(p, np.eye(dyn.dim)):
-        prop = _linear_propagator(g, pin_idx, dyn.linear_rate, c, cfg.d, dt)
+        # a non-finite P is a blowup at the first step, reported like any other
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = _linear_propagator(g, pin_idx, dyn.linear_rate, c, cfg.d, dt)
 
         def step(z: np.ndarray, dv: np.ndarray):
             return prop @ z, dv

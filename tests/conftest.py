@@ -23,6 +23,19 @@ def rand_connected(rng: np.random.Generator, n: int, extra: int = 0) -> Graph:
     return build_graph(n, sorted(edges))
 
 
+def adjacency(g: Graph) -> np.ndarray:
+    """The dense 0/1 adjacency matrix, set edge by edge."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edge_array.tolist():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The canonical edges as a tuple of (u, v) pairs of Python ints."""
+    return tuple(map(tuple, g.edge_array.tolist()))
+
+
 def rand_pins(rng: np.random.Generator, n: int, l: int) -> list[int]:
     return sorted(int(v) for v in rng.choice(n, size=l, replace=False))
 

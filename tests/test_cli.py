@@ -257,6 +257,17 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert first.returncode == 0
 
 
+def test_simulate_overflowing_propagator_is_a_quiet_blowup(tmp_path):
+    graph = tmp_path / "p5.txt"
+    graph.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    res = run_cli("simulate", str(graph), "--pins", "0", "--dynamics", "linear_unstable",
+                  "--a", "1e200", "--controller", "linear", "--c", "1", "--d", "1",
+                  "--T", "1", "--dt", "0.5")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert json.loads(res.stdout)["blowup_time"] == 0.5
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--c", "nan"], "argument --c: must be finite"),
     (["--c", "inf"], "argument --c: must be finite"),

@@ -12,18 +12,20 @@ import weakref
 
 import numpy as np
 
-from conftest import rand_connected, rand_pins
+from conftest import adjacency, rand_connected, rand_pins
+from pinopt import generators
 from pinopt.bounds import (
     bound_report,
     boundary_bounds,
     upper_by_min_degree,
     upper_by_spectrum,
 )
-from pinopt.graphs import boundary_weights, build_graph, ground, laplacian
+from pinopt.cli import sweep_rows
+from pinopt.graphs import boundary_weights, build_graph, ground, laplacian, parse_edge_list
 
 
 def ref_laplacian(g):
-    lap = -g.adjacency.copy()
+    lap = -adjacency(g)
     lap[np.diag_indices(g.n)] = g.degrees.astype(np.float64)
     return lap
 
@@ -53,7 +55,6 @@ def test_context_laplacian_and_spectrum_match_reference_bits():
         assert same_bits(g.laplacian, ref)
         assert same_bits(laplacian(g), ref)
         assert np.array_equal(g.spectrum, np.linalg.eigvalsh(ref))
-        assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [list(e) for e in g.edges]
 
 
 def test_grounding_matches_reference_exactly():
@@ -85,6 +86,51 @@ def test_bounds_match_reference_exactly():
         assert (rep.lambda1, rep.lower_min_boundary, rep.upper_kmin) == (lam, lo, kmin)
         assert (rep.upper_avg_boundary, rep.upper_spectrum) == (avg, spec)
         assert "-0.0" not in rep.to_json()
+
+
+def test_spectrum_is_solved_without_keeping_the_laplacian():
+    for g, _ in random_cases(46, 20):
+        spec = g.spectrum
+        assert "laplacian" not in vars(g)
+        assert same_bits(spec, np.linalg.eigvalsh(laplacian(g)))
+
+
+def test_reports_and_sweeps_keep_no_laplacian():
+    g = rand_connected(np.random.default_rng(47), 30, extra=20)
+    bound_report(g, [0, 5], alpha_over_c=0.5)
+    for strategy, qs in (("degree_mix", [0.0, 0.5, 1.0]), ("betweenness", None)):
+        sweep_rows(g, strategy, [2, 4], qs, 3, 7)
+    assert "laplacian" not in vars(g)
+
+
+def assert_same_graph(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+def test_equal_graphs_compare_and_hash_equal_however_built():
+    rng = np.random.default_rng(48)
+    for n, extra in ((1, 0), (2, 0), (5, 0), (9, 6), (20, 25)):
+        g = rand_connected(rng, n, extra=extra)
+        pairs = g.edge_array.tolist()
+        text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        loose = f"# a header\n{n}\n" + "".join(f"  {v}\t{u}  # flipped\n" for u, v in pairs)
+        shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+        for other in (parse_edge_list(text), parse_edge_list(loose),
+                      build_graph(n, shuffled), build_graph(n, [(v, u) for u, v in pairs]),
+                      build_graph(n, pairs + pairs[::-1]), build_graph(n, np.array(pairs).reshape(-1, 2))):
+            assert_same_graph(g, other)
+    assert_same_graph(generators.gen_ba(30, 3, 2, 5), generators.gen_ba(30, 3, 2, 5))
+    assert_same_graph(generators.gen_star(6), build_graph(6, [(k, 0) for k in range(5, 0, -1)]))
+    assert_same_graph(generators.gen_erdos_renyi(6, 0.0, 3), build_graph(6, []))
+    assert_same_graph(build_graph(4, []), parse_edge_list("4\n"))
+    distinct = [build_graph(4, []), build_graph(5, []), build_graph(4, [(0, 1)]),
+                build_graph(5, [(0, 1)]), build_graph(4, [(0, 2)]), generators.gen_path(4),
+                generators.gen_star(4)]
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1:]:
+            assert a != b
+    assert len(set(distinct)) == len(distinct)
+    assert build_graph(3, [(0, 1)]) != ((0, 1),)
 
 
 def test_edgeless_graph_grounds_with_zero_weights():
