@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time brute force on pin-set searches the benchmark decks leave out.
+"""Time pin-set searches the benchmark decks leave out.
 
     python3 scripts/offdeck_search.py [--src DIR] [--case NAME ...] [--json]
 
-Each case runs in a fresh subprocess with one BLAS thread, with pinopt
+A case is a graph, a search (brute force or greedy) and l. Each case runs in a fresh subprocess with one BLAS thread, with pinopt
 imported from DIR (default: this checkout's src/). Per case it prints
 the wall time of the search, the peak RSS of the process, the rows given
 a Ritz ceiling at each Krylov depth, the rows solved, and the winning
@@ -22,13 +22,19 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# name -> (graph expression over pinopt.generators and pinopt, l, budget or None)
+# name -> (graph expression over pinopt.generators and pinopt, strategy, l,
+# brute-force budget or None)
 CASES = {
-    "ring_lattice_200_l2": ("gen_nw(200, 4, 0.0, 0)", 2, None),
-    "dolphins_l4": ("pinopt.load_dolphins()", 4, None),
-    "complete_30_l3": ("gen_complete(30)", 3, None),
-    "ba_400_l3": ("gen_ba(400, 3, 3, 0)", 3, 11_000_000),
+    "ring_lattice_200_l2": ("gen_nw(200, 4, 0.0, 0)", "brute_force", 2, None),
+    "dolphins_l4": ("pinopt.load_dolphins()", "brute_force", 4, None),
+    "complete_30_l3": ("gen_complete(30)", "brute_force", 3, None),
+    "ba_400_l3": ("gen_ba(400, 3, 3, 0)", "brute_force", 3, 11_000_000),
+    # greedy on large sparse graphs, where the dense Laplacian product is weakest
+    "nw_1000_greedy_l3": ("gen_nw(1000, 4, 0.01, 0)", "greedy", 3, None),
+    "ba_1000_greedy_l3": ("gen_ba(1000, 3, 3, 0)", "greedy", 3, None),
 }
+# strategy -> its search in pinopt.strategies
+SEARCHES = {"brute_force": "brute_force_max_lambda1", "greedy": "greedy_max_lambda1"}
 
 
 def run_case(name: str) -> dict:
@@ -43,7 +49,7 @@ def run_case(name: str) -> dict:
     from pinopt.generators import gen_ba, gen_complete, gen_nw  # noqa: F401 (used by eval)
     from pinopt.graphs import Graph
 
-    expr, l, budget = CASES[name]
+    expr, strategy, l, budget = CASES[name]
     g = eval(expr)
     ritz_rows, solved = Counter(), [0]
     ritz, solve = strategies.ritz_ceilings, Graph.grounded_lambda1s
@@ -60,10 +66,11 @@ def run_case(name: str) -> dict:
     Graph.grounded_lambda1s = counted_solve
     kwargs = {} if budget is None else {"budget": budget}
     t0 = perf_counter()
-    res = strategies.brute_force_max_lambda1(g, l, **kwargs)
+    res = getattr(strategies, SEARCHES[strategy])(g, l, **kwargs)
     wall = perf_counter() - t0
     return {
         "case": name,
+        "strategy": strategy,
         "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "ritz_rows_by_depth": {str(d): c for d, c in sorted(ritz_rows.items())},

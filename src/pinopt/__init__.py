@@ -27,7 +27,6 @@ from .graphs import (
 from .spectra import (
     complete_grounded_spectrum,
     eig_sym,
-    eig_sym_pairs,
     lambda1,
     star_grounded_lambda1,
 )

@@ -28,13 +28,13 @@ the candidate's grounded matrix give a Ritz vector whose Rayleigh
 quotient is still an upper bound, and usually far closer to lambda1,
 the closer the deeper the Krylov space (Kaniel-Paige-Saad; Saad,
 Numerical Methods for Large Eigenvalue Problems, SIAM 2011, ch. 6).
-Each product with the grounded matrix is a masked product with the
-Laplacian from the graph's neighbour lists (``Graph.ell``), O(m). The
-quotient is recomputed from that vector and raised by a rounding slack
-of 4 n eps max(1, 2 dmax), so it stays an upper bound at every depth,
-however inexact the Lanczos basis is. The searches give a candidate a
-Ritz ceiling only while it can still beat the best set found
-(``strategies._pruned_argmax``).
+Each product with the grounded matrices of a chunk of candidates is one
+product of the graph's kept dense Laplacian with an (n, k) block of
+vectors, the pinned entries then zeroed. The quotient is recomputed
+from that vector and raised by a rounding slack of 4 n eps max(1, 2
+dmax), so it stays an upper bound at every depth, however inexact the
+Lanczos basis is. The searches give a candidate a Ritz ceiling only
+while it can still beat the best set found (``strategies._pruned_argmax``).
 
 Greedy's rounds have a better test vector than the all-ones one: the
 bottom eigenvector of the last round's winner, from one step of inverse
@@ -137,14 +137,6 @@ RITZ_CHUNK_BYTES = 512 * 1024
 _EPS = float(np.finfo(float).eps)
 
 
-def _ritz_chunk_rows(g: Graph, depth: int) -> int:
-    """Rows ``ritz_ceilings`` takes per chunk at this depth: as many as keep
-    its temporaries, depth + 5 vectors and the neighbour values of the widest
-    block of ``g.ell`` per row, within RITZ_CHUNK_BYTES, and at least one."""
-    widest = max((pad.size for _, _, pad in g.ell[2]), default=0)
-    return max(1, RITZ_CHUNK_BYTES // (8 * ((g.n + 1) * (depth + 5) + widest)))
-
-
 def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
     of that grounding, tighter than the Rayleigh quotient of its start
@@ -153,48 +145,43 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -
     cut(S) / (n - l), in either case with the row's pins zeroed.
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
-    where keep zeroes the row's pins; L x is the degree times x minus the
-    sum over the neighbours, O(m) from ``g.ell``. From x, the start with
-    the row's pins zeroed, Lanczos builds a basis of the Krylov space
-    {x, Mx, ..., M^(d-1) x}, d = min(RITZ_DEPTH, n - l), as the space has
-    no more dimensions than M. Its bottom Ritz vector y is zero on the
-    pins, so its Rayleigh quotient bounds lambda1 from above
+    where keep zeroes the row's pins and L is ``g.laplacian``; a chunk of
+    rows takes one product of L with its (n, k) block per step. From x,
+    the start with the row's pins zeroed, Lanczos builds a basis of the
+    Krylov space {x, Mx, ..., M^(d-1) x}, d = min(RITZ_DEPTH, n - l), as
+    the space has no more dimensions than M. Its bottom Ritz vector y is
+    zero on the pins, so its Rayleigh quotient bounds lambda1 from above
     (Courant-Fischer), and in exact arithmetic never exceeds the quotient
     of x or that of a shallower space. The quotient is taken from y
     itself, with one more product, plus `4 * n * eps * max(1, 2 * dmax)`
     for its rounding, so the bound holds however inexact the basis is, in
     any summation order; a quotient that is not finite, as from a start
     that is zero on the row's uncontrolled nodes, becomes +inf. Rows are
-    taken in chunks whose temporaries stay within about RITZ_CHUNK_BYTES.
+    taken in chunks whose temporaries, d + 5 n-vectors per row with the
+    product's output, stay within about RITZ_CHUNK_BYTES.
     """
     n, d = g.n, min(RITZ_DEPTH, g.n - pins.shape[1])
-    # vectors are (n + 1, k): a row per node in rank order, then a zero row
-    # that the padding in `blocks` points to; a column per pin set
-    rank, deg, blocks = g.ell
+    lap = g.laplacian
     # 2 * dmax bounds every eigenvalue of M (Gershgorin)
-    top = 2.0 * float(deg.max(initial=0.0))
+    top = 2.0 * float(g.degrees.max(initial=0))
     slack = 4.0 * n * _EPS * max(1.0, top)
 
     def times_m(x, keep):
-        y = deg * x
-        for lo, hi, pad in blocks:
-            y[lo:hi] -= x.take(pad, axis=0).sum(axis=0)
+        y = lap @ x
         y *= keep
         return y
 
-    x0 = np.ones((n + 1, 1))
-    if start is not None:
-        x0[rank, 0] = start
+    # vectors are (n, k): a column per pin set
+    x0 = np.ones((n, 1)) if start is None else start[:, None]
     out = np.empty(len(pins))
-    step = _ritz_chunk_rows(g, d)
+    step = max(1, RITZ_CHUNK_BYTES // (8 * n * (d + 5)))
     diag = np.arange(d)
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]
         k = len(s)
-        keep = np.ones((n + 1, k))
-        keep[n] = 0.0
-        keep[rank[s.T], np.arange(k)] = 0.0
-        basis = np.zeros((d, n + 1, k))
+        keep = np.ones((n, k))
+        keep[s.T, np.arange(k)] = 0.0
+        basis = np.zeros((d, n, k))
         v = basis[0]
         np.multiply(keep, x0, out=v)
         norm = np.sqrt(np.einsum("nk,nk->k", v, v))

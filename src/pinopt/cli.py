@@ -234,6 +234,9 @@ def sweep_rows(
             raise UsageError("sweep degree_mix: --q is required")
         if runs < 1:
             raise ValueError(f"need runs >= 1, got runs={runs}")
+    # every cell, in order, before the first solve: C(n, l) is not monotone in l
+    for l in ls:
+        strat_mod.check_l(g, l, budget if with_brute or strategy == "brute_force" else None)
     for l in ls:
         brute_val: float | None = None
         if with_brute:

@@ -103,40 +103,6 @@ class Graph:
         return indptr, indices
 
     @cached_property
-    def ell(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
-        """The neighbour lists in sliced ELLPACK form, for O(m) products
-        with the Laplacian: (rank, deg, blocks). Node v comes rank[v]-th in
-        ascending order of its block's width: the smallest power of two at
-        least both its degree and the mean degree (isolated nodes come
-        first and are in no block). Each block (lo, hi, pad) holds the
-        positions lo..hi-1; column i of pad lists the positions of the
-        neighbours of position lo + i, padded with n up to the block's
-        largest degree, one row per neighbour slot. Padding is at most
-        4m entries in the first block and the block's own size in each later
-        one. deg is the (n + 1, 1) float column of the degrees by position,
-        then a zero for the padding.
-        """
-        indptr, indices = self.csr
-        deg = self.degrees
-        least = max(1.0, 2.0 * self.m / max(self.n, 1))
-        width = np.where(deg > 0, 2.0 ** np.ceil(np.log2(np.maximum(deg, least))), 0.0)
-        order = np.argsort(width, kind="stable")
-        rank = np.empty(self.n, dtype=np.intp)
-        rank[order] = np.arange(self.n)
-        cuts = (np.flatnonzero(np.diff(width[order])) + 1).tolist()
-        blocks = []
-        for lo, hi in zip([0, *cuts], [*cuts, self.n]):
-            nodes = order[lo:hi]
-            if deg[nodes[0]]:
-                slot = np.arange(deg[nodes].max())
-                at = np.minimum(indptr[nodes][:, None] + slot, len(indices) - 1)
-                pad = np.where(slot < deg[nodes][:, None], rank[indices[at]], self.n)
-                blocks.append((lo, hi, np.ascontiguousarray(pad.T)))
-        col = np.zeros((self.n + 1, 1))
-        col[rank, 0] = deg
-        return rank, col, tuple(blocks)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         indptr, indices = self.csr
         ids, ends = indices.tolist(), indptr.tolist()

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "eig_sym",
-    "eig_sym_pairs",
     "lambda1",
     "star_grounded_lambda1",
     "complete_grounded_spectrum",
@@ -36,12 +35,6 @@ def _check_sym(m: np.ndarray) -> np.ndarray:
 def eig_sym(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending."""
     return np.linalg.eigvalsh(_check_sym(m))
-
-
-def eig_sym_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors as columns."""
-    vals, vecs = np.linalg.eigh(_check_sym(m))
-    return vals, vecs
 
 
 def lambda1(m: np.ndarray) -> float:

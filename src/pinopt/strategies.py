@@ -19,6 +19,7 @@ from .graphs import Graph, connected_components, ground
 
 __all__ = [
     "BudgetError",
+    "check_l",
     "StrategyConfig",
     "SelectionResult",
     "degree_mix_pins",
@@ -84,9 +85,14 @@ class SelectionResult:
         return json.dumps(d)
 
 
-def _check_l(g: Graph, l: int) -> None:
+def check_l(g: Graph, l: int, budget: int | None = None) -> None:
+    """The checks a selection of l pins makes before it starts: ValueError
+    unless 1 <= l <= n - 1 and, given a brute-force budget, BudgetError if
+    the C(n, l) subsets exceed it."""
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
+    if budget is not None and (count := math.comb(g.n, l)) > budget:
+        raise BudgetError(f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}")
 
 
 def degree_mix_pins(g: Graph, l: int, q: float, seed: int, run: int) -> tuple[int, ...]:
@@ -97,7 +103,7 @@ def degree_mix_pins(g: Graph, l: int, q: float, seed: int, run: int) -> tuple[in
     always has exactly l members. Degree ties are broken by a random
     permutation drawn from the stream (seed, run).
     """
-    _check_l(g, l)
+    check_l(g, l)
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must be in [0, 1], got q={q}")
     n_top = round(q * l)
@@ -214,7 +220,7 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     where ``top`` is the largest value among them. Values that differ
     only by float noise therefore tie, and ties go to the smaller id.
     """
-    _check_l(g, l)
+    check_l(g, l)
     bc = betweenness_centrality(g)
     left = np.ones(g.n, dtype=bool)
     for _ in range(l):
@@ -385,12 +391,8 @@ def brute_force_max_lambda1(
     until no set left can reach the tie window (``_pruned_argmax``).
     Refuses to start when C(n, l) exceeds the budget.
     """
-    _check_l(g, l)
+    check_l(g, l, budget)
     count = math.comb(g.n, l)
-    if count > budget:
-        raise BudgetError(
-            f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}"
-        )
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(g.n), l)),
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
@@ -420,7 +422,7 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     ceiling. A baseline for the exhaustive search: never better, often
     close.
     """
-    _check_l(g, l)
+    check_l(g, l)
     current: list[int] = []
     free = np.arange(g.n)
     for k in range(l):

@@ -259,10 +259,12 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     propagator (see the module notes); all other runs stage by stage.
     A run of more than MAX_RK4_STEPS steps raises BudgetError.
     """
-    steps = round(cfg.t_end / cfg.dt)
+    ratio = cfg.t_end / cfg.dt
+    # clipped as a float first: round() fails on an infinite T / dt
+    steps = round(min(ratio, MAX_RK4_STEPS + 1))
     if steps > MAX_RK4_STEPS:
         raise BudgetError(
-            f"round(T / dt) = {steps} RK4 steps exceeds the cap of {MAX_RK4_STEPS}"
+            f"T / dt = {ratio:.6g} RK4 steps exceeds the cap of {MAX_RK4_STEPS}"
         )
     pins = pin_set(g, s)
     pin_idx = np.array(pins, dtype=np.int64)

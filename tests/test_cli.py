@@ -206,6 +206,31 @@ def test_sweep_usage_errors(double_star_file):
                    "--l-range", "x:y").returncode == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--strategy", "greedy", "--l-range", "1:300"], 1),
+    (["--strategy", "degree_mix", "--q", "0.5", "--l-range", "1:300"], 1),
+    (["--strategy", "betweenness", "--l-range", "0:2"], 1),
+    (["--strategy", "brute_force", "--l-range", "1:3"], 3),
+    (["--strategy", "greedy", "--l-range", "1:3", "--with-brute-force"], 3),
+    # C(300, l) is within the budget at both ends, l = 1 and 299, but not at 150
+    (["--strategy", "greedy", "--l-range", "1:299:149", "--with-brute-force"], 3),
+], ids=["greedy_l_n", "degree_mix_l_n", "betweenness_l_0", "brute_force_budget",
+        "with_brute_force_budget", "budget_in_the_middle"])
+def test_sweep_checks_every_cell_before_the_first_solve(tmp_path, monkeypatch, capsys, argv, code):
+    path = tmp_path / "path300.txt"
+    path.write_text(format_edge_list(generators.gen_path(300)))
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a cell was solved before every cell was checked")
+
+    monkeypatch.setattr(pinopt.bounds, "bound_report", solved)
+    monkeypatch.setattr(pinopt.strategies, "brute_force_max_lambda1", solved)
+    assert main(["sweep", str(path), *argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_sweep_degree_mix_without_q_is_a_usage_error(double_star_file):
     res = run_cli("sweep", str(double_star_file), "--strategy", "degree_mix", "--l-range", "1:5")
     assert res.returncode == 1
@@ -358,6 +383,18 @@ def test_simulate_over_the_step_cap_is_a_budget_refusal(double_star_file, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert "exceeds the cap of 2000000" in err
+
+
+@pytest.mark.parametrize("t_end, dt", [("1e300", "1e-300"), ("1e300", "1")])
+def test_simulate_step_count_past_any_integer_is_a_budget_refusal(tmp_path, t_end, dt):
+    path = tmp_path / "p3.txt"
+    path.write_text(format_edge_list(generators.gen_path(3)))
+    res = run_cli("simulate", str(path), "--pins", "0", "--dynamics", "linear_unstable",
+                  "--controller", "linear", "--c", "1", "--d", "1", "--T", t_end, "--dt", dt)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: T / dt = {float(t_end) / float(dt):.6g} RK4 steps exceeds the cap of 2000000"]
 
 
 def test_the_parser_is_built_once(capsys):

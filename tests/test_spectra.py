@@ -9,7 +9,6 @@ from pinopt.graphs import ground, laplacian
 from pinopt.spectra import (
     complete_grounded_spectrum,
     eig_sym,
-    eig_sym_pairs,
     lambda1,
     star_grounded_lambda1,
 )
@@ -48,18 +47,6 @@ def test_eig_sym_shift_identity():
     assert np.allclose(eig_sym(m + t * np.eye(8)), eig_sym(m) + t, atol=1e-9)
 
 
-def test_eig_sym_pairs_residual_contract():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        k = int(rng.integers(2, 15))
-        a = rng.normal(size=(k, k))
-        m = (a + a.T) / 2
-        vals, vecs = eig_sym_pairs(m)
-        scale = np.abs(m).max()
-        assert np.abs(m @ vecs - vecs * vals).max() <= 1e-8 * max(scale, 1.0)
-        assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-8)
-
-
 def test_eig_sym_input_validation():
     with pytest.raises(ValueError):
         eig_sym(np.zeros((2, 3)))
@@ -69,7 +56,7 @@ def test_eig_sym_input_validation():
         eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("helper", [eig_sym, eig_sym_pairs])
+@pytest.mark.parametrize("helper", [eig_sym, lambda1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_public_helpers_reject_asymmetric_and_non_finite_input(helper, bad):
     # a graph solves the blocks of its own Laplacian without this check;

@@ -17,7 +17,7 @@ from pinopt.generators import (
     gen_path,
     gen_star,
 )
-from pinopt.graphs import Graph, build_graph, ground
+from pinopt.graphs import Graph, build_graph, format_edge_list, ground, parse_edge_list
 from pinopt.spectra import lambda1
 from pinopt.strategies import (
     BRUTE_FORCE_BUDGET,
@@ -572,6 +572,16 @@ def test_searches_leave_the_laplacian_spectrum_uncomputed():
         for g in (pinopt.load_dolphins(), _family(2, 60, 63)):
             search(g, 2)
             assert "spectrum" not in g.__dict__, search.__name__
+
+
+def test_searches_leave_the_neighbour_lists_unbuilt():
+    # every Laplacian product of the searches is one with the kept dense
+    # Laplacian, so they never build the CSR neighbour lists
+    for search in (brute_force_max_lambda1, greedy_max_lambda1):
+        for text in (format_edge_list(gen_ba(45, 3, 2, 5)), format_edge_list(gen_complete(12))):
+            g = parse_edge_list(text)
+            search(g, 2)
+            assert "csr" not in g.__dict__, search.__name__
 
 
 def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
