@@ -9,8 +9,11 @@ temporary directory, and runs every command once in-process through
 ``pinopt.cli.main`` from this checkout's ``src/``, with one BLAS thread
 as the benchmark uses. It prints one line per command, ``<workload>
 <index> <sha256 of the exit code and stdout>``, so two checkouts give
-the same lines exactly when every command exits and prints alike. It
-writes nothing under ``perfbench/``.
+the same lines exactly when every command exits and prints alike. Each
+``simulate`` command also writes its ``--out-csv`` series to a
+temporary file, and its line ends in ``csv <sha256 of that file>``, so
+the recorded error norms and adaptive gains are compared too, not just
+the final error. It writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -48,15 +51,31 @@ def digest(argv) -> str:
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
 
 
+def file_digest(path: str) -> str:
+    """sha256 of a file's bytes, or ``missing`` when the command wrote none."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        return "missing"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
+        csv = os.path.join(workdir, "series.csv")
         for workload in workloads.WORKLOADS:
             deck = workloads.build(workload, args.seed, "full", os.path.join(workdir, workload))
             for i, cmd in enumerate(deck):
-                print(workload, i, digest(cmd.argv), flush=True)
+                if workload != "simulate":
+                    print(workload, i, digest(cmd.argv), flush=True)
+                    continue
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(csv)
+                line = digest(cmd.argv + ("--out-csv", csv))
+                print(workload, i, line, "csv", file_digest(csv), flush=True)
     return 0
 
 

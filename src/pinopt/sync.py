@@ -14,13 +14,23 @@ controller is ``"linear"``, one RK4 step is exactly the matrix
 ``P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24`` with ``h = dt`` and
 ``M = [[a*I - c*L - c*d*D, c*d*D*1], [0, a]]`` acting on the stacked
 state (D marks the pinned nodes). ``P`` is built once and each step is
-``z = P @ z``. The step count, recording grid and per-step blowup check
-are those of the stage-by-stage path, and so are the verdict and
+``z = P @ z``. The step count, recording grid and blowup test are
+those of the stage-by-stage path, and so are the verdict and
 ``blowup_time``, but ``final_error`` and the recorded error norms may
 differ from earlier versions in the last bits (matching to ~1e-13 of
 each row's largest norm), because the products are summed in another
-order. Adaptive runs and nonlinear dynamics (Chua) integrate stage by
-stage and are bit-identical to earlier versions.
+order.
+
+Adaptive runs and nonlinear dynamics (Chua) step one stacked state
+``[z.ravel(), d]`` (nodes, reference, gains), each RK4 stage written
+into buffers allocated once per run in the element order of the plain
+expressions, and skip products by an identity ``p`` (exact for finite
+values; a non-finite value is a blowup at that step either way), so
+they are bit-identical to earlier versions. Every run tests for blowup
+once per block of steps up to the next record point (at most
+``SCAN_BYTES`` of node magnitudes) and takes the step from the first
+failing row: every output is byte for byte that of a test after each
+step, though a run that blows up steps on to the end of its block.
 
 ``SimConfig`` refuses a non-finite ``c``, ``h``, ``d``, ``dt`` or
 ``t_end``, a non-positive ``c``, ``dt`` or ``t_end``, and ``dt > t_end``
@@ -57,6 +67,8 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 # longest run simulate accepts, in RK4 steps round(t_end / dt)
 MAX_RK4_STEPS = 2_000_000
+# largest block of per-step node magnitudes simulate keeps between blowup scans
+SCAN_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,8 @@ class NodeDynamics:
     so the synchronization criterion holds with any alpha > alpha_min;
     `alpha` is alpha_min plus a fixed margin, ready to use. `p` is the
     (SPD) inner-product weight used by the controllers. `f` returns a
-    new array (simulate adds the coupling into it in place).
+    new array; simulate only reads it, subtracting the coupling into a
+    stage buffer of its own.
     `linear_rate`, when set, declares f(x) = linear_rate * x, which
     lets simulate use the exact linear propagator.
     """
@@ -249,6 +262,90 @@ def _linear_propagator(g: Graph, pin_idx: np.ndarray, a: float, c: float,
     return prop
 
 
+def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig,
+                p: np.ndarray | None, w: np.ndarray) -> Callable[[], None]:
+    """One RK4 step of the stacked state w = [z.ravel(), d], done in place.
+
+    z holds the node states with the reference as row n, and d the
+    adaptive gains (zero under the linear controller). ``p`` is the
+    inner-product weight, None for the identity. Every stage is
+    written with ``out=`` into buffers allocated here once, in the
+    element order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 + 2*k2) +
+    2*k3) + k4)``, so a step gives the floats of the plain expressions.
+    """
+    n, dim = g.n, dyn.dim
+    nz = (n + 1) * dim
+    lap, f, c, h, cd = g.laplacian, dyn.f, cfg.c, cfg.h, cfg.c * cfg.d
+    dt = cfg.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    adaptive = cfg.controller == "adaptive"
+    pin_flat = (pin_idx[:, None] * dim + np.arange(dim)).ravel()
+
+    k1, k2, k3, k4, u, acc = np.zeros((6, len(w)))
+    err = np.empty((len(pin_idx), dim))
+    err_flat = err.reshape(-1)
+    err_p = err if p is None else np.empty_like(err)
+    push = np.empty_like(err)
+    push_flat = push.reshape(-1)
+    cpl = np.zeros((n + 1, dim))  # c * L z on the node rows; row n stays zero
+    cpl_nodes = cpl[:n]
+    cpl_p = cpl if p is None else np.zeros((n + 1, dim))
+    cpl_p_nodes = cpl_p[:n]
+
+    def state(v):
+        zs = v[:nz].reshape(n + 1, dim)
+        return v, zs, zs[:n], zs[n], v[nz:, None]
+
+    def rate(k):
+        return k, k[:nz].reshape(n + 1, dim), k[nz:]
+
+    def rhs(src, dst):
+        v, zs, nodes, ref, dcol = src
+        k, kz, kd = dst
+        np.take(v, pin_flat, out=err_flat, mode="clip")  # "raise" would buffer out
+        np.subtract(err, ref, out=err)
+        if p is not None:
+            np.matmul(err, p, out=err_p)
+        np.matmul(lap, nodes, out=cpl_nodes)
+        np.multiply(c, cpl_nodes, out=cpl_nodes)
+        if p is not None:
+            np.matmul(cpl_nodes, p, out=cpl_p_nodes)
+        np.subtract(f(zs), cpl_p, out=kz)
+        # pins are distinct, so subtract.at equals the fancy-indexed -=
+        if adaptive:
+            np.multiply(dcol, err_p, out=push)
+            np.subtract.at(k, pin_flat, push_flat)
+            np.einsum("ij,ij->i", err, err_p, out=kd)
+            np.multiply(h, kd, out=kd)
+        else:
+            np.multiply(cd, err_p, out=push)
+            np.subtract.at(k, pin_flat, push_flat)
+
+    at_w, at_u = state(w), state(u)
+    r1, r2, r3, r4 = rate(k1), rate(k2), rate(k3), rate(k4)
+
+    def step():
+        rhs(at_w, r1)
+        np.multiply(half, k1, out=u)
+        np.add(w, u, out=u)
+        rhs(at_u, r2)
+        np.multiply(half, k2, out=u)
+        np.add(w, u, out=u)
+        rhs(at_u, r3)
+        np.multiply(dt, k3, out=u)
+        np.add(w, u, out=u)
+        rhs(at_u, r4)
+        np.multiply(2.0, k2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(2.0, k3, out=u)
+        np.add(acc, u, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(sixth, acc, out=acc)
+        np.add(w, acc, out=w)
+
+    return step
+
+
 def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> SimResult:
     """Integrate the pinned network and report error trajectories.
 
@@ -268,53 +365,34 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
         )
     pins = pin_set(g, s)
     pin_idx = np.array(pins, dtype=np.int64)
-    n = g.n
-    lap = g.laplacian
-    p = dyn.p
-    c = cfg.c
+    n, dim = g.n, dyn.dim
+    nz = (n + 1) * dim
     adaptive = cfg.controller == "adaptive"
 
     rng = np.random.default_rng(cfg.seed)
-    z = np.empty((n + 1, dyn.dim))  # node states, then the reference as row n
-    z[:n] = rng.uniform(cfg.init_low, cfg.init_high, size=(n, dyn.dim))
+    w = np.zeros(nz + len(pins))  # node states, the reference as row n, then the gains
+    z = w[:nz].reshape(n + 1, dim)
+    z[:n] = rng.uniform(cfg.init_low, cfg.init_high, size=(n, dim))
     sv = np.array(cfg.s0 if cfg.s0 is not None else dyn.default_s0, dtype=np.float64)
-    if sv.shape != (dyn.dim,):
-        raise ValueError(f"s0 must have shape ({dyn.dim},), got {sv.shape}")
+    if sv.shape != (dim,):
+        raise ValueError(f"s0 must have shape ({dim},), got {sv.shape}")
     z[n] = sv
-    dvec = np.zeros(len(pins))
+    dvec = w[nz:]
     dt = cfg.dt
+    # a product by I is exact for finite values, and a non-finite one is a blowup either way
+    p = None if np.array_equal(dyn.p, np.eye(dim)) else dyn.p
 
-    if dyn.linear_rate is not None and not adaptive and np.array_equal(p, np.eye(dyn.dim)):
+    if dyn.linear_rate is not None and not adaptive and p is None:
         # a non-finite P is a blowup at the first step, reported like any other
         with np.errstate(over="ignore", invalid="ignore"):
-            prop = _linear_propagator(g, pin_idx, dyn.linear_rate, c, cfg.d, dt)
+            prop = _linear_propagator(g, pin_idx, dyn.linear_rate, cfg.c, cfg.d, dt)
+        znext = np.empty_like(z)
 
-        def step(z: np.ndarray, dv: np.ndarray):
-            return prop @ z, dv
+        def step():
+            np.matmul(prop, z, out=znext)
+            np.copyto(z, znext)
     else:
-        cd = c * cfg.d
-        no_dd = np.zeros_like(dvec)
-
-        def rhs(zs: np.ndarray, ds: np.ndarray):
-            err = zs[pin_idx] - zs[n]
-            err_p = err @ p
-            dz = dyn.f(zs)
-            dz[:n] -= c * (lap @ zs[:n]) @ p
-            if adaptive:
-                dz[pin_idx] -= ds[:, None] * err_p
-                return dz, cfg.h * np.einsum("ij,ij->i", err, err_p)
-            dz[pin_idx] -= cd * err_p
-            return dz, no_dd
-
-        half, sixth = 0.5 * dt, dt / 6.0
-
-        def step(z: np.ndarray, dv: np.ndarray):
-            k1z, k1d = rhs(z, dv)
-            k2z, k2d = rhs(z + half * k1z, dv + half * k1d)
-            k3z, k3d = rhs(z + half * k2z, dv + half * k2d)
-            k4z, k4d = rhs(z + dt * k3z, dv + dt * k3d)
-            return (z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z),
-                    dv + sixth * (k1d + 2 * k2d + 2 * k3d + k4d))
+        step = _rk4_stages(g, pin_idx, dyn, cfg, p, w)
 
     times: list[float] = []
     errs: list[np.ndarray] = []
@@ -326,16 +404,27 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
         if adaptive:
             gains.append(dvec.copy())
 
+    # |node state| of each step up to the next record point, scanned once per block
+    every = cfg.record_every
+    block = np.empty((max(1, min(steps, every, SCAN_BYTES // (8 * n * dim))), n * dim))
+    nodes = w[: n * dim]
     record(0)
     blowup_time: float | None = None
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            z, dvec = step(z, dvec)
+        while k < steps:
+            stop = min(steps, k - k % every + every, k + len(block))
+            rows = block[: stop - k]
+            for row in rows:
+                step()
+                np.abs(nodes, out=row)
             # NaN fails the comparison too, so this also catches any non-finite entry
-            if not np.abs(z[:n]).max() <= BLOWUP_LIMIT:
-                blowup_time = k * dt
+            if not rows.max() <= BLOWUP_LIMIT:
+                first = int(np.argmax(~(rows.max(axis=1) <= BLOWUP_LIMIT)))
+                blowup_time = (k + 1 + first) * dt
                 break
-            if k % cfg.record_every == 0 or k == steps:
+            k = stop
+            if k % every == 0 or k == steps:
                 record(k)
 
     error_norms = np.array(errs)

@@ -1,6 +1,6 @@
 """The demos print what they printed when their output was recorded.
 
-Demos 01-04 take about two seconds together. Demo 05 (about 12 s) is
+Demos 01-04 take about two seconds together. Demo 05 (about 9 s) is
 left out; the sync tests cover its simulations.
 """
 

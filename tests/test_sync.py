@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import rand_connected, rand_pins
 from pinopt.generators import gen_complete, gen_path, gen_star
-from pinopt.graphs import ground, laplacian
+from pinopt.graphs import ground, laplacian, pin_set
 from pinopt.spectra import lambda1
 from pinopt.sync import (
+    BLOWUP_LIMIT,
+    SCAN_BYTES,
     SimConfig,
     SimResult,
+    _linear_propagator,
     chua,
     check_criterion,
     linear_stability_oracle,
@@ -243,3 +247,141 @@ def test_linear_propagator_matches_stage_by_stage_rk4():
         outcomes["blowup" if slow.blowup_time is not None
                  else "converged" if slow.converged else "neither"] += 1
     assert min(outcomes.values()) >= 3, outcomes
+
+
+def _stepwise_simulate(g, s, dyn, cfg):
+    """simulate as it stepped before the stacked stages, kept as the reference.
+
+    Fresh arrays for every stage, the pinned rows updated by fancy-indexed
+    -=, products by p even when p is the identity, and a blowup test after
+    every step.
+    """
+    steps = round(cfg.t_end / cfg.dt)
+    pins = pin_set(g, s)
+    pin_idx = np.array(pins, dtype=np.int64)
+    n, lap, p, c, dt = g.n, g.laplacian, dyn.p, cfg.c, cfg.dt
+    adaptive = cfg.controller == "adaptive"
+    rng = np.random.default_rng(cfg.seed)
+    z = np.empty((n + 1, dyn.dim))
+    z[:n] = rng.uniform(cfg.init_low, cfg.init_high, size=(n, dyn.dim))
+    z[n] = cfg.s0 if cfg.s0 is not None else dyn.default_s0
+    dvec = np.zeros(len(pins))
+
+    if dyn.linear_rate is not None and not adaptive and np.array_equal(p, np.eye(dyn.dim)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = _linear_propagator(g, pin_idx, dyn.linear_rate, c, cfg.d, dt)
+
+        def step(z, dv):
+            return prop @ z, dv
+    else:
+        cd = c * cfg.d
+        no_dd = np.zeros_like(dvec)
+
+        def rhs(zs, ds):
+            err = zs[pin_idx] - zs[n]
+            err_p = err @ p
+            dz = dyn.f(zs)
+            dz[:n] -= c * (lap @ zs[:n]) @ p
+            if adaptive:
+                dz[pin_idx] -= ds[:, None] * err_p
+                return dz, cfg.h * np.einsum("ij,ij->i", err, err_p)
+            dz[pin_idx] -= cd * err_p
+            return dz, no_dd
+
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def step(z, dv):
+            k1z, k1d = rhs(z, dv)
+            k2z, k2d = rhs(z + half * k1z, dv + half * k1d)
+            k3z, k3d = rhs(z + half * k2z, dv + half * k2d)
+            k4z, k4d = rhs(z + dt * k3z, dv + dt * k3d)
+            return (z + sixth * (k1z + 2 * k2z + 2 * k3z + k4z),
+                    dv + sixth * (k1d + 2 * k2d + 2 * k3d + k4d))
+
+    times, errs, gains = [], [], []
+
+    def record(k):
+        times.append(k * dt)
+        errs.append(np.linalg.norm(z[:n] - z[n], axis=1))
+        if adaptive:
+            gains.append(dvec.copy())
+
+    record(0)
+    blowup_time = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            z, dvec = step(z, dvec)
+            if not np.abs(z[:n]).max() <= BLOWUP_LIMIT:
+                blowup_time = k * dt
+                break
+            if k % cfg.record_every == 0 or k == steps:
+                record(k)
+    error_norms = np.array(errs)
+    final_error = float(error_norms[-1].max())
+    return SimResult(times=np.array(times), error_norms=error_norms,
+                     gains=np.array(gains) if adaptive else None, pins=pins,
+                     converged=blowup_time is None and final_error < cfg.tol_sync,
+                     final_error=final_error, blowup_time=blowup_time)
+
+
+def test_stacked_stages_match_the_stepwise_reference_bit_for_bit():
+    # both dynamics under both controllers, every third case with an SPD p != I,
+    # every eighth with a coupling so strong the first step blows up
+    seen = {"blowup at step 1": 0, "blowup inside a scan block": 0, "no blowup": 0,
+            "record_every 1": 0, "record_every > steps": 0, "record_every not dividing": 0,
+            "p not I": 0}
+    kinds = set()
+    for t in range(48):
+        rng = np.random.default_rng(1000 + t)
+        n = int(rng.integers(3, 12))
+        g = rand_connected(rng, n, extra=int(rng.integers(0, n)))
+        pins = rand_pins(rng, n, int(rng.integers(1, n)))
+        dyn = chua() if t % 2 else linear_unstable(float(rng.uniform(0.1, 3.0)))
+        if t % 3 == 0:
+            q = rng.normal(size=(dyn.dim, dyn.dim))
+            dyn = dataclasses.replace(dyn, p=q @ q.T + dyn.dim * np.eye(dyn.dim))
+            seen["p not I"] += 1
+        controller = ("linear", "adaptive")[t // 2 % 2]
+        kinds.add((dyn.name, controller))
+        dt = float(rng.choice([0.01, 0.05]))
+        steps = int(rng.choice([1, 37, 240]))
+        every = (1, 7, 10, 10**6)[t // 4 % 4]
+        c = 1e30 if t % 8 == 7 else float(rng.uniform(0.05, 60.0 if t % 5 == 0 else 4.0))
+        cfg = SimConfig(controller=controller, c=c, h=float(rng.uniform(0.5, 10.0)),
+                        d=float(rng.uniform(0.0, 6.0)), dt=dt, t_end=steps * dt, seed=t,
+                        record_every=every)
+        ref = _stepwise_simulate(g, pins, dyn, cfg)
+        res = simulate(g, pins, dyn, cfg)
+        assert np.array_equal(res.times, ref.times), t
+        assert np.array_equal(res.error_norms, ref.error_norms), t
+        assert (res.gains is None) == (ref.gains is None), t
+        assert res.gains is None or np.array_equal(res.gains, ref.gains), t
+        assert (res.final_error, res.blowup_time, res.converged) == \
+            (ref.final_error, ref.blowup_time, ref.converged), t
+        if ref.blowup_time is None:
+            seen["no blowup"] += 1
+        else:
+            k = round(ref.blowup_time / dt)
+            seen["blowup at step 1"] += k == 1
+            seen["blowup inside a scan block"] += k % every != 0 and k != steps
+        seen["record_every 1"] += every == 1
+        seen["record_every > steps"] += every > steps
+        seen["record_every not dividing"] += 1 < every < steps and steps % every != 0
+    assert len(kinds) == 4
+    assert min(seen.values()) >= 2, seen
+
+
+def test_blowup_scan_block_does_not_grow_with_record_every():
+    # 200,000 steps with only the first and last recorded: the scan block stays capped
+    g = gen_path(3)
+    cfg = SimConfig(controller="linear", c=2.0, d=4.0, dt=1e-3, t_end=200.0, seed=0,
+                    record_every=10**9)
+    dyn = linear_unstable(0.1)
+    tracemalloc.start()
+    try:
+        res = simulate(g, [0], dyn, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.times.tolist() == [0.0, pytest.approx(200.0)] and res.converged
+    assert peak < 2 * SCAN_BYTES, peak
