@@ -16,13 +16,9 @@ from .graphs import (
     connected_components,
     format_edge_list,
     ground,
-    induced_subgraph,
-    is_connected,
     laplacian,
     parse_edge_list,
     pin_set,
-    read_edge_list,
-    write_edge_list,
 )
 from .spectra import (
     complete_grounded_spectrum,
@@ -35,7 +31,6 @@ from .bounds import (
     bound_report,
     boundary_bounds,
     feedback_gain_bound,
-    necessary_lambda2,
     upper_by_min_degree,
     upper_by_spectrum,
     upper_single_pin,

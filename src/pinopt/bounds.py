@@ -64,7 +64,6 @@ __all__ = [
     "bottom_vector",
     "after_pin_ceilings",
     "upper_single_pin",
-    "necessary_lambda2",
     "feedback_gain_bound",
     "bound_report",
 ]
@@ -263,15 +262,6 @@ def upper_single_pin(g: Graph, i: int) -> float:
     return float(g.degrees[i]) / (g.n - 1)
 
 
-def necessary_lambda2(g: Graph, alpha_over_c: float) -> bool:
-    """Whether the algebraic connectivity exceeds alpha/c.
-
-    If it does not, no single pinned node can satisfy the criterion
-    lambda1 > alpha/c; this is necessary for l=1, not sufficient.
-    """
-    return bool(g.spectrum[1] > alpha_over_c)
-
-
 def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> float:
     """Smallest constant feedback gain that certifies synchronization.
 
@@ -293,7 +283,7 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
         )
     lap = g.laplacian
     p = np.array(pins, dtype=np.int64)
-    r = np.array(grounded.retained, dtype=np.int64)
+    r = np.flatnonzero(grounded.keep)
     l_pp = lap[np.ix_(p, p)]
     l_pr = lap[np.ix_(p, r)]
     # Schur block: c^2 * L_pr (c*L_rr - alpha I)^{-1} L_rp - c*L_pp

@@ -238,13 +238,13 @@ def sweep_rows(
     for l in ls:
         strat_mod.check_l(g, l, budget if with_brute or strategy == "brute_force" else None)
     for l in ls:
-        brute_val: float | None = None
-        if with_brute:
-            brute_val = strat_mod.brute_force_max_lambda1(g, l, budget=budget).lambda1
+        brute = strat_mod.brute_force_max_lambda1(g, l, budget=budget) if with_brute else None
         for q in q_list:
+            # a brute-force sweep's own search is the brute column's search
+            pin_sets = ([brute.pin_set] if brute is not None and strategy == "brute_force"
+                        else _sweep_pin_sets(g, strategy, l, q, runs, seed, budget))
             # one report per pin set, each freeing its grounding on return
-            reports = [bounds_mod.bound_report(g, pins)
-                       for pins in _sweep_pin_sets(g, strategy, l, q, runs, seed, budget)]
+            reports = [bounds_mod.bound_report(g, pins) for pins in pin_sets]
             lams = [r.lambda1 for r in reports]
             row = {
                 "l": l,
@@ -257,7 +257,7 @@ def sweep_rows(
                 "lower_min_boundary": float(np.mean([r.lower_min_boundary for r in reports])),
             }
             if with_brute:
-                row["lambda1_brute"] = brute_val
+                row["lambda1_brute"] = brute.lambda1
             rows.append(row)
     return rows
 

@@ -7,9 +7,9 @@ few thousand nodes, where dense linear algebra is the fast path.
 One canonical edge array carries a graph from its text to its grounded
 blocks: :func:`build_graph` validates and canonicalises an (m, 2) array
 in numpy, :func:`parse_edge_list` reads the canonical text (the one
-``format_edge_list`` writes with no header) straight into such an array,
-and the generators build theirs in numpy. No step between the text and
-the grounded block loops over edges in Python.
+``format_edge_list`` writes) straight into such an array, and the
+generators build theirs in numpy. No step between the text and the
+grounded block loops over edges in Python.
 
 Two objects carry the method. A :class:`Graph` stores `n` and the edge
 array, O(n + m) state; its degrees, neighbour lists, Laplacian and full
@@ -51,14 +51,10 @@ __all__ = [
     "pin_set",
     "ground",
     "boundary_weights",
-    "induced_subgraph",
     "connected_components",
-    "is_connected",
     "parse_edge_list",
     "MAX_NODES",
     "format_edge_list",
-    "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -253,20 +249,15 @@ class GroundedLaplacian:
     """Principal submatrix of the Laplacian after deleting pinned rows/cols.
 
     `keep` marks the surviving (uncontrolled) nodes among all n of
-    `graph`; `retained` lists their original ids in ascending order, and
-    row/col i of `matrix` corresponds to retained[i]. `weights[i]`
-    counts the pinned neighbors of retained[i]; the matrix equals the
-    Laplacian of the induced uncontrolled subgraph plus diag(weights).
-    Everything but `size` is computed on first use. Build instances
+    `graph`; row/col i of `matrix` is the i-th of them in ascending id.
+    `weights[i]` counts that node's pinned neighbors; the matrix equals
+    the Laplacian of the induced uncontrolled subgraph plus
+    diag(weights). Everything is computed on first use. Build instances
     through :func:`ground`, which validates the pins.
     """
 
     graph: Graph = field(repr=False)
     keep: np.ndarray
-
-    @cached_property
-    def retained(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.keep).tolist())
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -285,10 +276,6 @@ class GroundedLaplacian:
         Laplacian, so symmetric by construction and not checked again."""
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.keep))
-
 
 def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:
     """Delete the rows and columns of the pinned nodes from laplacian(g)."""
@@ -300,26 +287,9 @@ def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:
 def boundary_weights(g: Graph, s: Iterable[int]) -> np.ndarray:
     """Per retained node, the number of its pinned neighbors.
 
-    Ordered like GroundedLaplacian.retained (ascending original id).
+    Ordered by ascending original id, like the rows of the grounded matrix.
     """
     return ground(g, s).weights
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on `keep`, relabeled 0..|keep|-1.
-
-    Returns (subgraph, index_map) where index_map[new_id] = original id;
-    all and only the edges internal to `keep` are retained. `keep` is
-    deduplicated and sorted.
-    """
-    kept = sorted({int(v) for v in keep})
-    if not kept:
-        raise ValueError("cannot induce a subgraph on zero nodes")
-    if kept[0] < 0 or kept[-1] >= g.n:
-        raise ValueError(f"keep list {kept} out of range for n={g.n}")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[kept] = True
-    return build_graph(len(kept), np.stack(_kept_edges(g, mask), axis=1)), tuple(kept)
 
 
 def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list[list[int]]:
@@ -352,10 +322,6 @@ def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list[l
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format: first non-comment line is the node count, every
 # following line is one edge "u v" (0-based, whitespace separated), and '#'
@@ -367,9 +333,9 @@ def is_connected(g: Graph) -> bool:
 # graph this size already takes 800 MB, and its eigensolve as much again
 MAX_NODES = 10_000
 
-# The canonical text, as format_edge_list writes it with no header: the
-# node count, then one "u v" line per edge, ASCII digits, every line ended
-# by "\n". An id of at most 18 digits cannot overflow int64.
+# The canonical text, as format_edge_list writes it: the node count, then
+# one "u v" line per edge, ASCII digits, every line ended by "\n". An id
+# of at most 18 digits cannot overflow int64.
 _CANONICAL_TEXT = re.compile(r"[0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
 
 
@@ -431,17 +397,5 @@ def _parse_lines(text: str) -> Graph:
         raise EdgeListError(str(exc)) from None
 
 
-def format_edge_list(g: Graph, header: str | None = None) -> str:
-    lines = [f"# {h}" for h in header.splitlines()] if header else []
-    lines.append(str(g.n))
-    return "\n".join(lines) + "\n" + ("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
-
-
-def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
-
-
-def write_edge_list(g: Graph, path, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_edge_list(g, header=header))
+def format_edge_list(g: Graph) -> str:
+    return f"{g.n}\n" + ("%d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())

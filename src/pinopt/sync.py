@@ -9,13 +9,12 @@ stage.
 
 Linear runs take an exact propagator. When the dynamic declares
 ``f(x) = a*x`` (``NodeDynamics.linear_rate``, set by
-``linear_unstable``), its inner product ``p`` is the identity and the
-controller is ``"linear"``, one RK4 step is exactly the matrix
-``P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24`` with ``h = dt`` and
-``M = [[a*I - c*L - c*d*D, c*d*D*1], [0, a]]`` acting on the stacked
-state (D marks the pinned nodes). ``P`` is built once and each step is
-``z = P @ z``. The step count, recording grid and blowup test are
-those of the stage-by-stage path, and so are the verdict and
+``linear_unstable``) and the controller is ``"linear"``, one RK4 step is
+exactly the matrix ``P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24`` with
+``h = dt`` and ``M = [[a*I - c*L - c*d*D, c*d*D*1], [0, a]]`` acting on
+the stacked state (D marks the pinned nodes). ``P`` is built once and
+each step is ``z = P @ z``. The step count, recording grid and blowup
+test are those of the stage-by-stage path, and so are the verdict and
 ``blowup_time``, but ``final_error`` and the recorded error norms may
 differ from earlier versions in the last bits (matching to ~1e-13 of
 each row's largest norm), because the products are summed in another
@@ -24,13 +23,11 @@ order.
 Adaptive runs and nonlinear dynamics (Chua) step one stacked state
 ``[z.ravel(), d]`` (nodes, reference, gains), each RK4 stage written
 into buffers allocated once per run in the element order of the plain
-expressions, and skip products by an identity ``p`` (exact for finite
-values; a non-finite value is a blowup at that step either way), so
-they are bit-identical to earlier versions. Every run tests for blowup
-once per block of steps up to the next record point (at most
-``SCAN_BYTES`` of node magnitudes) and takes the step from the first
-failing row: every output is byte for byte that of a test after each
-step, though a run that blows up steps on to the end of its block.
+expressions, so they are bit-identical to earlier versions. Every run
+tests for blowup once per block of steps up to the next record point
+(at most ``SCAN_BYTES`` of node magnitudes) and takes the step from the
+first failing row: every output is byte for byte that of a test after
+each step, though a run that blows up steps on to the end of its block.
 
 ``SimConfig`` refuses a non-finite ``c``, ``h``, ``d``, ``dt`` or
 ``t_end``, a non-positive ``c``, ``dt`` or ``t_end``, and ``dt > t_end``
@@ -69,6 +66,8 @@ BLOWUP_LIMIT = 1e12
 MAX_RK4_STEPS = 2_000_000
 # largest block of per-step node magnitudes simulate keeps between blowup scans
 SCAN_BYTES = 64 * 1024
+# a run has converged when its largest final per-node error norm is below this
+TOL_SYNC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,10 @@ class NodeDynamics:
 
     For all y, z:  (y-z)' (f(y) - f(z))  <=  alpha_min * |y-z|^2,
     so the synchronization criterion holds with any alpha > alpha_min;
-    `alpha` is alpha_min plus a fixed margin, ready to use. `p` is the
-    (SPD) inner-product weight used by the controllers. `f` returns a
-    new array; simulate only reads it, subtracting the coupling into a
-    stage buffer of its own.
+    `alpha` is alpha_min plus a fixed margin, ready to use. The
+    controllers act in the identity inner product, the one the
+    certificate is stated in. `f` returns a new array; simulate only
+    reads it, subtracting the coupling into a stage buffer of its own.
     `linear_rate`, when set, declares f(x) = linear_rate * x, which
     lets simulate use the exact linear propagator.
     """
@@ -88,7 +87,6 @@ class NodeDynamics:
     name: str
     dim: int
     f: Callable[[np.ndarray], np.ndarray]  # rows are node states, (N, dim) -> (N, dim)
-    p: np.ndarray
     alpha_min: float
     alpha: float
     default_s0: np.ndarray
@@ -105,7 +103,6 @@ def linear_unstable(a: float) -> NodeDynamics:
         name="linear_unstable",
         dim=1,
         f=f,
-        p=np.eye(1),
         alpha_min=float(a),
         alpha=float(a) + 0.5,
         default_s0=np.zeros(1),
@@ -148,7 +145,6 @@ def chua(
         name="chua",
         dim=3,
         f=f,
-        p=np.eye(3),
         alpha_min=alpha_min,
         alpha=alpha_min + 0.5,
         default_s0=np.array([0.7, 0.0, 0.0]),
@@ -159,8 +155,8 @@ def chua(
 class SimConfig:
     """Simulation parameters.
 
-    controller: "adaptive" (per-node gains d_i, d_i' = h * e_i' P e_i)
-    or "linear" (constant u_i = -c * d * P e_i on pinned nodes).
+    controller: "adaptive" (per-node gains d_i, d_i' = h * e_i' e_i)
+    or "linear" (constant u_i = -c * d * e_i on pinned nodes).
     States start uniform in [init_low, init_high]^dim under `seed`; the
     reference starts at s0 (dynamics default when None).
     c, h, d, dt and t_end must be finite; c, dt and t_end positive; and
@@ -178,7 +174,6 @@ class SimConfig:
     init_low: float = -1.0
     init_high: float = 1.0
     s0: np.ndarray | None = None
-    tol_sync: float = 1e-6
     record_every: int = 10
 
     def __post_init__(self):
@@ -263,12 +258,11 @@ def _linear_propagator(g: Graph, pin_idx: np.ndarray, a: float, c: float,
 
 
 def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig,
-                p: np.ndarray | None, w: np.ndarray) -> Callable[[], None]:
+                w: np.ndarray) -> Callable[[], None]:
     """One RK4 step of the stacked state w = [z.ravel(), d], done in place.
 
     z holds the node states with the reference as row n, and d the
-    adaptive gains (zero under the linear controller). ``p`` is the
-    inner-product weight, None for the identity. Every stage is
+    adaptive gains (zero under the linear controller). Every stage is
     written with ``out=`` into buffers allocated here once, in the
     element order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 + 2*k2) +
     2*k3) + k4)``, so a step gives the floats of the plain expressions.
@@ -284,13 +278,10 @@ def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig
     k1, k2, k3, k4, u, acc = np.zeros((6, len(w)))
     err = np.empty((len(pin_idx), dim))
     err_flat = err.reshape(-1)
-    err_p = err if p is None else np.empty_like(err)
     push = np.empty_like(err)
     push_flat = push.reshape(-1)
     cpl = np.zeros((n + 1, dim))  # c * L z on the node rows; row n stays zero
     cpl_nodes = cpl[:n]
-    cpl_p = cpl if p is None else np.zeros((n + 1, dim))
-    cpl_p_nodes = cpl_p[:n]
 
     def state(v):
         zs = v[:nz].reshape(n + 1, dim)
@@ -304,21 +295,17 @@ def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig
         k, kz, kd = dst
         np.take(v, pin_flat, out=err_flat, mode="clip")  # "raise" would buffer out
         np.subtract(err, ref, out=err)
-        if p is not None:
-            np.matmul(err, p, out=err_p)
         np.matmul(lap, nodes, out=cpl_nodes)
         np.multiply(c, cpl_nodes, out=cpl_nodes)
-        if p is not None:
-            np.matmul(cpl_nodes, p, out=cpl_p_nodes)
-        np.subtract(f(zs), cpl_p, out=kz)
+        np.subtract(f(zs), cpl, out=kz)
         # pins are distinct, so subtract.at equals the fancy-indexed -=
         if adaptive:
-            np.multiply(dcol, err_p, out=push)
+            np.multiply(dcol, err, out=push)
             np.subtract.at(k, pin_flat, push_flat)
-            np.einsum("ij,ij->i", err, err_p, out=kd)
+            np.einsum("ij,ij->i", err, err, out=kd)
             np.multiply(h, kd, out=kd)
         else:
-            np.multiply(cd, err_p, out=push)
+            np.multiply(cd, err, out=push)
             np.subtract.at(k, pin_flat, push_flat)
 
     at_w, at_u = state(w), state(u)
@@ -350,7 +337,7 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     """Integrate the pinned network and report error trajectories.
 
     Convergence means the largest per-node error norm at the end of the
-    run is below cfg.tol_sync. A state magnitude beyond 1e12 (or any
+    run is below TOL_SYNC. A state magnitude beyond 1e12 (or any
     non-finite value) stops the run early and is reported as a blowup.
     Linear dynamics under the linear controller step by the exact
     propagator (see the module notes); all other runs stage by stage.
@@ -379,10 +366,8 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     z[n] = sv
     dvec = w[nz:]
     dt = cfg.dt
-    # a product by I is exact for finite values, and a non-finite one is a blowup either way
-    p = None if np.array_equal(dyn.p, np.eye(dim)) else dyn.p
 
-    if dyn.linear_rate is not None and not adaptive and p is None:
+    if dyn.linear_rate is not None and not adaptive:
         # a non-finite P is a blowup at the first step, reported like any other
         with np.errstate(over="ignore", invalid="ignore"):
             prop = _linear_propagator(g, pin_idx, dyn.linear_rate, cfg.c, cfg.d, dt)
@@ -392,7 +377,7 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
             np.matmul(prop, z, out=znext)
             np.copyto(z, znext)
     else:
-        step = _rk4_stages(g, pin_idx, dyn, cfg, p, w)
+        step = _rk4_stages(g, pin_idx, dyn, cfg, w)
 
     times: list[float] = []
     errs: list[np.ndarray] = []
@@ -434,7 +419,7 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
         error_norms=error_norms,
         gains=np.array(gains) if adaptive else None,
         pins=pins,
-        converged=blowup_time is None and final_error < cfg.tol_sync,
+        converged=blowup_time is None and final_error < TOL_SYNC,
         final_error=final_error,
         blowup_time=blowup_time,
     )

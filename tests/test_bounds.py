@@ -11,7 +11,6 @@ from pinopt.bounds import (
     bound_report,
     boundary_bounds,
     feedback_gain_bound,
-    necessary_lambda2,
     pin_set_ceilings,
     ritz_ceilings,
     upper_by_min_degree,
@@ -243,14 +242,6 @@ def test_ritz_ceilings_tighten_the_closed_forms():
         # one pin: the single-pin cap deg(v) / (n - 1)
         single = ritz_ceilings(g, np.arange(n)[:, None])
         assert np.all(single <= np.array([upper_single_pin(g, v) for v in range(n)]) + TOL)
-
-
-def test_necessary_lambda2_threshold():
-    g = gen_path(4)
-    fiedler = eig_sym(laplacian(g))[1]  # 2 - sqrt(2)
-    assert abs(fiedler - (2 - np.sqrt(2))) < 1e-12
-    assert necessary_lambda2(g, fiedler - 0.05)
-    assert not necessary_lambda2(g, fiedler + 0.05)
 
 
 def _gain_matrix(g, pins, alpha, c, d):

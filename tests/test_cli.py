@@ -197,6 +197,26 @@ def test_sweep_brute_force_column(double_star_file):
     assert np.allclose(table, expect, atol=5e-4)
 
 
+def test_sweep_brute_force_searches_once_per_l(tmp_path, monkeypatch, capsys):
+    g = pinopt.load_dolphins()
+    path = tmp_path / "dolphins.txt"
+    path.write_text(format_edge_list(g))
+    argv = ["sweep", str(path), "--strategy", "brute_force", "--l-range", "1:3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    # the bytes of a sweep that searched once for the rows and once more for the column
+    expect = [plain[0] + ",lambda1_brute"] + [
+        f"{row},{pinopt.strategies.brute_force_max_lambda1(g, l).lambda1:.10g}"
+        for l, row in enumerate(plain[1:], start=1)]
+    calls = []
+    search = pinopt.strategies.brute_force_max_lambda1
+    monkeypatch.setattr(pinopt.strategies, "brute_force_max_lambda1",
+                        lambda g, l, **kw: calls.append(l) or search(g, l, **kw))
+    assert main(argv + ["--with-brute-force"]) == 0
+    assert calls == [1, 2, 3]
+    assert capsys.readouterr().out == "\n".join(expect) + "\n"
+
+
 def test_sweep_usage_errors(double_star_file):
     assert run_cli("sweep", str(double_star_file), "--strategy", "degree_mix",
                    "--l-range", "1:5").returncode == 1  # missing --q

@@ -11,7 +11,7 @@ from pinopt.generators import (
     gen_path,
     gen_star,
 )
-from pinopt.graphs import build_graph, is_connected
+from pinopt.graphs import build_graph, connected_components
 
 
 def test_fixed_families_exact_shapes():
@@ -29,7 +29,7 @@ def test_double_star_layout():
     assert g.degrees[0] == 2  # bridge
     assert g.degrees[1] == 6 and g.degrees[7] == 6  # hubs: 5 leaves + bridge
     assert sorted(g.degrees.tolist()) == [1] * 10 + [2] + [6, 6]
-    assert is_connected(g)
+    assert connected_components(g) == [list(range(g.n))]
     with pytest.raises(ValueError):
         gen_double_star(0)
 
@@ -49,7 +49,7 @@ def test_ba_edge_count_formula(n, m0, m):
         g = gen_ba(n, m0, m, seed)
         assert g.m == m0 * (m0 - 1) // 2 + m * (n - m0)
         assert int(g.degrees.min()) >= m
-        assert is_connected(g)
+        assert connected_components(g) == [list(range(g.n))]
 
 
 def test_ba_deterministic_and_seed_sensitive():
