@@ -43,8 +43,7 @@ dyn = chua()
 pins = tuple(range(0, 20, 4))
 print(f"\nChua circuits on NW(20, K=4), adaptive gains on {len(pins)} pins {pins}")
 print(f"  one-sided growth certificate alpha_min = {dyn.alpha_min:.4f}")
-cfg = SimConfig(controller="adaptive", c=10.0, h=5.0, dt=5e-4, t_end=30.0, seed=7,
-                init_low=-0.4, init_high=0.4)
+cfg = SimConfig(controller="adaptive", c=10.0, h=5.0, dt=5e-4, t_end=30.0, seed=7)
 res = simulate(g, pins, dyn, cfg)
 print(f"  converged={res.converged}, final error {res.final_error:.2e}")
 print(f"  adaptive gains settled at: {np.round(res.gains[-1], 3)}")

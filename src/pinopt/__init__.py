@@ -9,6 +9,7 @@ network to validate the spectral criterion.
 """
 
 from .graphs import (
+    BudgetError,
     Graph,
     GroundedLaplacian,
     boundary_weights,
@@ -36,7 +37,6 @@ from .bounds import (
     upper_single_pin,
 )
 from .strategies import (
-    BudgetError,
     SelectionResult,
     StrategyConfig,
     betweenness_centrality,

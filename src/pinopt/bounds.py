@@ -51,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, ground, pin_set
+from .graphs import Graph, check_l, ground, pin_set
 from .spectra import eig_sym
 
 __all__ = [
@@ -75,8 +75,7 @@ def upper_by_spectrum(g: Graph, l: int) -> float:
     Interlacing: deleting l rows/cols cannot push the smallest grounded
     eigenvalue above this, whichever l nodes are pinned.
     """
-    if not (1 <= l <= g.n - 1):
-        raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
+    check_l(g, l)
     return float(g.spectrum[l])
 
 
@@ -108,8 +107,7 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     Rows are taken in chunks, so no k x n array is formed.
     """
     k, l = pins.shape
-    if not (1 <= l <= g.n - 1):
-        raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
+    check_l(g, l)
     deg = g.degrees
     low = np.argsort(deg, kind="stable")[: l + 1]
     # each node's place among those l+1, or l+1 if it is not one of them

@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import generators as gen_mod
 from . import strategies as strat_mod
 from . import sync as sync_mod
-from .graphs import EdgeListError, Graph, format_edge_list, parse_edge_list, pin_set
+from .graphs import BudgetError, EdgeListError, Graph, check_l, format_edge_list, parse_edge_list, pin_set
 
 __all__ = ["main", "sweep_rows", "SWEEP_COLUMNS"]
 
@@ -236,7 +236,10 @@ def sweep_rows(
             raise ValueError(f"need runs >= 1, got runs={runs}")
     # every cell, in order, before the first solve: C(n, l) is not monotone in l
     for l in ls:
-        strat_mod.check_l(g, l, budget if with_brute or strategy == "brute_force" else None)
+        check_l(g, l, budget if with_brute or strategy == "brute_force" else None)
+    for q in q_list if strategy == "degree_mix" else ():
+        if not (0.0 <= q <= 1.0):
+            raise ValueError(f"q must be in [0, 1], got q={q}")
     for l in ls:
         brute = strat_mod.brute_force_max_lambda1(g, l, budget=budget) if with_brute else None
         for q in q_list:
@@ -426,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The exit code of each error a command may raise.
-EXIT_CODES = {UsageError: 1, DataError: 2, strat_mod.BudgetError: 3}
+EXIT_CODES = {UsageError: 1, DataError: 2, BudgetError: 3}
 
 
 def main(argv: list[str] | None = None) -> int:

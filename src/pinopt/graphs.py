@@ -36,6 +36,7 @@ the output byte-identical to a from-scratch build:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,6 +50,8 @@ __all__ = [
     "build_graph",
     "laplacian",
     "pin_set",
+    "check_l",
+    "BudgetError",
     "ground",
     "boundary_weights",
     "connected_components",
@@ -242,6 +245,21 @@ def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     if len(s) >= g.n:
         raise ValueError("pin set must leave at least one node uncontrolled")
     return tuple(s)
+
+
+class BudgetError(RuntimeError):
+    """Raised when an exhaustive search would exceed its subset budget,
+    or a simulation its step cap."""
+
+
+def check_l(g: Graph, l: int, budget: int | None = None) -> None:
+    """The checks a selection of l pins makes before it starts: ValueError
+    unless 1 <= l <= n - 1 and, given a brute-force budget, BudgetError if
+    the C(n, l) subsets exceed it."""
+    if not (1 <= l <= g.n - 1):
+        raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
+    if budget is not None and (count := math.comb(g.n, l)) > budget:
+        raise BudgetError(f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import after_pin_ceilings, bottom_vector, pin_set_ceilings, ritz_ceilings
-from .graphs import Graph, connected_components, ground
+# BudgetError stays importable from here, where the searches raise it
+from .graphs import BudgetError, Graph, check_l, connected_components, ground
 
 __all__ = [
-    "BudgetError",
-    "check_l",
     "StrategyConfig",
     "SelectionResult",
     "degree_mix_pins",
@@ -42,11 +41,6 @@ LAZY_ROWS = (128, 4096)
 # betweenness runs its sources in chunks whose per-node arrays and per-level
 # edge arrays hold about this many entries (more if one source alone needs it)
 CHUNK_ENTRIES = 1 << 15
-
-
-class BudgetError(RuntimeError):
-    """Raised when an exhaustive search would exceed its subset budget,
-    or a simulation its step cap."""
 
 
 @dataclass(frozen=True)
@@ -85,14 +79,11 @@ class SelectionResult:
         return json.dumps(d)
 
 
-def check_l(g: Graph, l: int, budget: int | None = None) -> None:
-    """The checks a selection of l pins makes before it starts: ValueError
-    unless 1 <= l <= n - 1 and, given a brute-force budget, BudgetError if
-    the C(n, l) subsets exceed it."""
-    if not (1 <= l <= g.n - 1):
-        raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
-    if budget is not None and (count := math.comb(g.n, l)) > budget:
-        raise BudgetError(f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}")
+def _result(strategy: str, pins, lam: float, seed: int | None = None) -> SelectionResult:
+    """The result of a strategy that picks one set, of lambda1 `lam`."""
+    pins = tuple(int(v) for v in pins)
+    return SelectionResult(strategy=strategy, l=len(pins), q=None, seed=seed,
+                           pin_set=pins, lambda1=lam, lambda1_runs=(lam,))
 
 
 def degree_mix_pins(g: Graph, l: int, q: float, seed: int, run: int) -> tuple[int, ...]:
@@ -124,23 +115,10 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     """
     if cfg.q is None:
         raise ValueError("degree mix needs q in [0, 1]")
-    runs: list[float] = []
-    first: tuple[int, ...] | None = None
-    for r in range(cfg.runs):
-        pins = degree_mix_pins(g, cfg.l, cfg.q, cfg.seed, r)
-        if first is None:
-            first = pins
-        runs.append(ground(g, pins).lambda1)
-    assert first is not None
-    return SelectionResult(
-        strategy="degree_mix",
-        l=cfg.l,
-        q=cfg.q,
-        seed=cfg.seed,
-        pin_set=first,
-        lambda1=float(np.mean(runs)),
-        lambda1_runs=tuple(runs),
-    )
+    pin_sets = [degree_mix_pins(g, cfg.l, cfg.q, cfg.seed, r) for r in range(cfg.runs)]
+    runs = tuple(ground(g, pins).lambda1 for pins in pin_sets)
+    return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
+                           pin_set=pin_sets[0], lambda1=float(np.mean(runs)), lambda1_runs=runs)
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
@@ -226,17 +204,8 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     for _ in range(l):
         top = bc[left].max()
         left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
-    pins = tuple(int(v) for v in np.flatnonzero(~left))
-    lam = ground(g, pins).lambda1
-    return SelectionResult(
-        strategy="betweenness",
-        l=l,
-        q=None,
-        seed=None,
-        pin_set=pins,
-        lambda1=lam,
-        lambda1_runs=(lam,),
-    )
+    pins = np.flatnonzero(~left)
+    return _result("betweenness", pins, ground(g, pins).lambda1)
 
 
 def _partition_sweep(g: Graph, active: set[int], rng) -> set[int]:
@@ -296,17 +265,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
                 removed.update(u for u in nbrs[v] if u in active)
             active -= removed
         if len(pins) < g.n:
-            sel = tuple(sorted(pins))
-            lam = ground(g, sel).lambda1
-            return SelectionResult(
-                strategy="dominating_partition",
-                l=len(sel),
-                q=None,
-                seed=seed,
-                pin_set=sel,
-                lambda1=lam,
-                lambda1_runs=(lam,),
-            )
+            return _result("dominating_partition", sorted(pins), ground(g, pins).lambda1, seed)
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
@@ -398,15 +357,7 @@ def brute_force_max_lambda1(
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
     win, lam = _pruned_argmax(g, combos)
-    return SelectionResult(
-        strategy="brute_force",
-        l=l,
-        q=None,
-        seed=None,
-        pin_set=tuple(int(v) for v in combos[win]),
-        lambda1=lam,
-        lambda1_runs=(lam,),
-    )
+    return _result("brute_force", combos[win], lam)
 
 
 def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
@@ -439,12 +390,4 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         current.append(int(free[win]))
         free = np.delete(free, win)
     # the last round solved the grounding of exactly this set
-    return SelectionResult(
-        strategy="greedy",
-        l=l,
-        q=None,
-        seed=None,
-        pin_set=tuple(sorted(current)),
-        lambda1=val,
-        lambda1_runs=(val,),
-    )
+    return _result("greedy", sorted(current), val)

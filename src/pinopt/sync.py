@@ -13,21 +13,22 @@ Linear runs take an exact propagator. When the dynamic declares
 exactly the matrix ``P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24`` with
 ``h = dt`` and ``M = [[a*I - c*L - c*d*D, c*d*D*1], [0, a]]`` acting on
 the stacked state (D marks the pinned nodes). ``P`` is built once and
-each step is ``z = P @ z``. The step count, recording grid and blowup
-test are those of the stage-by-stage path, and so are the verdict and
-``blowup_time``, but ``final_error`` and the recorded error norms may
-differ from earlier versions in the last bits (matching to ~1e-13 of
-each row's largest norm), because the products are summed in another
-order.
+each step is ``z = P @ z``. It keeps the step count, recording grid,
+blowup test, verdict and ``blowup_time`` of stage-by-stage RK4, and its
+error norms match that path to ~1e-13 of each row's largest norm, as
+the products are summed in another order.
 
-Adaptive runs and nonlinear dynamics (Chua) step one stacked state
-``[z.ravel(), d]`` (nodes, reference, gains), each RK4 stage written
-into buffers allocated once per run in the element order of the plain
-expressions, so they are bit-identical to earlier versions. Every run
-tests for blowup once per block of steps up to the next record point
-(at most ``SCAN_BYTES`` of node magnitudes) and takes the step from the
-first failing row: every output is byte for byte that of a test after
-each step, though a run that blows up steps on to the end of its block.
+All other runs step one stacked state ``[z.ravel(), d]`` (nodes,
+reference, gains), each RK4 stage written into buffers allocated once
+per run in the element order of the plain expressions, so they match
+the stepwise reference (fresh arrays per stage, a blowup test after
+every step) bit for bit. Both controllers push ``d_i * e_i`` into the
+pinned nodes: the linear controller's gains start at ``c * d`` and keep
+it, as only the adaptive controller writes gain rates. Every run tests
+for blowup once per block of steps up to the next record point (at most
+``SCAN_BYTES`` of node magnitudes) and takes the step from the first
+failing row, so every output is that of a test after each step, though
+a run that blows up steps on to the end of its block.
 
 ``SimConfig`` refuses a non-finite ``c``, ``h``, ``d``, ``dt`` or
 ``t_end``, a non-positive ``c``, ``dt`` or ``t_end``, and ``dt > t_end``
@@ -45,9 +46,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Graph, ground, pin_set
+from .graphs import BudgetError, Graph, ground, pin_set
 from .spectra import eig_sym
-from .strategies import BudgetError
 
 __all__ = [
     "NodeDynamics",
@@ -76,7 +76,7 @@ class NodeDynamics:
 
     For all y, z:  (y-z)' (f(y) - f(z))  <=  alpha_min * |y-z|^2,
     so the synchronization criterion holds with any alpha > alpha_min;
-    `alpha` is alpha_min plus a fixed margin, ready to use. The
+    the property `alpha` is alpha_min + 0.5, ready to use. The
     controllers act in the identity inner product, the one the
     certificate is stated in. `f` returns a new array; simulate only
     reads it, subtracting the coupling into a stage buffer of its own.
@@ -88,9 +88,12 @@ class NodeDynamics:
     dim: int
     f: Callable[[np.ndarray], np.ndarray]  # rows are node states, (N, dim) -> (N, dim)
     alpha_min: float
-    alpha: float
     default_s0: np.ndarray
     linear_rate: float | None = None
+
+    @property
+    def alpha(self) -> float:
+        return self.alpha_min + 0.5
 
 
 def linear_unstable(a: float) -> NodeDynamics:
@@ -104,24 +107,20 @@ def linear_unstable(a: float) -> NodeDynamics:
         dim=1,
         f=f,
         alpha_min=float(a),
-        alpha=float(a) + 0.5,
         default_s0=np.zeros(1),
         linear_rate=float(a),
     )
 
 
-def chua(
-    a_p: float = 9.0,
-    b_p: float = 100.0 / 7.0,
-    m0: float = -8.0 / 7.0,
-    m1: float = -5.0 / 7.0,
-) -> NodeDynamics:
-    """Chua circuit with the piecewise-linear diode, double-scroll defaults.
+def chua() -> NodeDynamics:
+    """Chua circuit with the piecewise-linear diode, at the double-scroll
+    parameters a = 9, b = 100/7 and diode slopes m0 = -8/7, m1 = -5/7.
 
     The growth certificate is the largest eigenvalue of the symmetrized
     Jacobian, maximized over the two diode slopes (the Jacobian is
     affine in the slope, so the endpoints dominate).
     """
+    a_p, b_p, m0, m1 = 9.0, 100.0 / 7.0, -8.0 / 7.0, -5.0 / 7.0
 
     def f(x: np.ndarray) -> np.ndarray:
         u, v, w = x[..., 0], x[..., 1], x[..., 2]
@@ -146,7 +145,6 @@ def chua(
         dim=3,
         f=f,
         alpha_min=alpha_min,
-        alpha=alpha_min + 0.5,
         default_s0=np.array([0.7, 0.0, 0.0]),
     )
 
@@ -157,8 +155,8 @@ class SimConfig:
 
     controller: "adaptive" (per-node gains d_i, d_i' = h * e_i' e_i)
     or "linear" (constant u_i = -c * d * e_i on pinned nodes).
-    States start uniform in [init_low, init_high]^dim under `seed`; the
-    reference starts at s0 (dynamics default when None).
+    Node states start uniform in [-1, 1]^dim under `seed`; the reference
+    starts at the dynamic's `default_s0`.
     c, h, d, dt and t_end must be finite; c, dt and t_end positive; and
     dt must not exceed t_end, so the run covers round(t_end / dt) >= 1
     whole steps and never passes t_end by a step.
@@ -171,9 +169,6 @@ class SimConfig:
     dt: float = 1e-3
     t_end: float = 50.0
     seed: int = 0
-    init_low: float = -1.0
-    init_high: float = 1.0
-    s0: np.ndarray | None = None
     record_every: int = 10
 
     def __post_init__(self):
@@ -218,14 +213,11 @@ class SimResult:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def summary(self) -> dict:
+    def summary_json(self) -> str:
         out = {"converged": self.converged, "final_error": self.final_error}
         if self.blowup_time is not None:
             out["blowup_time"] = self.blowup_time
-        return out
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary())
+        return json.dumps(out)
 
 
 def _closed_loop(g: Graph, pin_idx: np.ndarray, a: float, c: float, d: float) -> np.ndarray:
@@ -262,14 +254,15 @@ def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig
     """One RK4 step of the stacked state w = [z.ravel(), d], done in place.
 
     z holds the node states with the reference as row n, and d the
-    adaptive gains (zero under the linear controller). Every stage is
-    written with ``out=`` into buffers allocated here once, in the
-    element order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 + 2*k2) +
-    2*k3) + k4)``, so a step gives the floats of the plain expressions.
+    pinned gains, fixed at c * d under the linear controller. Every
+    stage is written with ``out=`` into buffers allocated here once, in
+    the element order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 +
+    2*k2) + 2*k3) + k4)``, so a step gives the floats of the plain
+    expressions.
     """
     n, dim = g.n, dyn.dim
     nz = (n + 1) * dim
-    lap, f, c, h, cd = g.laplacian, dyn.f, cfg.c, cfg.h, cfg.c * cfg.d
+    lap, f, c, h = g.laplacian, dyn.f, cfg.c, cfg.h
     dt = cfg.dt
     half, sixth = 0.5 * dt, dt / 6.0
     adaptive = cfg.controller == "adaptive"
@@ -298,15 +291,12 @@ def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig
         np.matmul(lap, nodes, out=cpl_nodes)
         np.multiply(c, cpl_nodes, out=cpl_nodes)
         np.subtract(f(zs), cpl, out=kz)
+        np.multiply(dcol, err, out=push)
         # pins are distinct, so subtract.at equals the fancy-indexed -=
-        if adaptive:
-            np.multiply(dcol, err, out=push)
-            np.subtract.at(k, pin_flat, push_flat)
+        np.subtract.at(k, pin_flat, push_flat)
+        if adaptive:  # fixed gains keep their zero rates
             np.einsum("ij,ij->i", err, err, out=kd)
             np.multiply(h, kd, out=kd)
-        else:
-            np.multiply(cd, err, out=push)
-            np.subtract.at(k, pin_flat, push_flat)
 
     at_w, at_u = state(w), state(u)
     r1, r2, r3, r4 = rate(k1), rate(k2), rate(k3), rate(k4)
@@ -359,12 +349,10 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(nz + len(pins))  # node states, the reference as row n, then the gains
     z = w[:nz].reshape(n + 1, dim)
-    z[:n] = rng.uniform(cfg.init_low, cfg.init_high, size=(n, dim))
-    sv = np.array(cfg.s0 if cfg.s0 is not None else dyn.default_s0, dtype=np.float64)
-    if sv.shape != (dim,):
-        raise ValueError(f"s0 must have shape ({dim},), got {sv.shape}")
-    z[n] = sv
+    z[:n] = rng.uniform(-1.0, 1.0, size=(n, dim))
+    z[n] = dyn.default_s0
     dvec = w[nz:]
+    dvec[:] = 0.0 if adaptive else cfg.c * cfg.d
     dt = cfg.dt
 
     if dyn.linear_rate is not None and not adaptive:

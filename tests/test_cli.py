@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -234,8 +235,12 @@ def test_sweep_usage_errors(double_star_file):
     (["--strategy", "greedy", "--l-range", "1:3", "--with-brute-force"], 3),
     # C(300, l) is within the budget at both ends, l = 1 and 299, but not at 150
     (["--strategy", "greedy", "--l-range", "1:299:149", "--with-brute-force"], 3),
+    # every q too, not only the first cell's
+    (["--strategy", "degree_mix", "--l-range", "1:200:100", "--q", "0.5,2", "--runs", "3"], 1),
+    (["--strategy", "degree_mix", "--l-range", "1:200:100", "--q", "0.5,nan", "--runs", "3"], 1),
 ], ids=["greedy_l_n", "degree_mix_l_n", "betweenness_l_0", "brute_force_budget",
-        "with_brute_force_budget", "budget_in_the_middle"])
+        "with_brute_force_budget", "budget_in_the_middle", "degree_mix_q_above_1",
+        "degree_mix_q_nan"])
 def test_sweep_checks_every_cell_before_the_first_solve(tmp_path, monkeypatch, capsys, argv, code):
     path = tmp_path / "path300.txt"
     path.write_text(format_edge_list(generators.gen_path(300)))
@@ -289,6 +294,22 @@ def test_simulate_usage_errors(tmp_path):
                    "--controller", "linear", "--c", "1.0").returncode == 1
     assert run_cli("simulate", str(graph), "--pins", "0", "--dynamics", "chua",
                    "--controller", "linear", "--c", "-1.0").returncode == 1
+
+
+def test_simulate_sets_every_sim_config_field(tmp_path, monkeypatch):
+    # a SimConfig field that no simulate flag sets fails here
+    real, passed = pinopt.sync.SimConfig, {}
+
+    def recorded(**kwargs):
+        passed.update(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(pinopt.sync, "SimConfig", recorded)
+    path = tmp_path / "p3.txt"
+    path.write_text(format_edge_list(generators.gen_path(3)))
+    assert main(["simulate", str(path), "--pins", "0", "--dynamics", "linear_unstable",
+                 "--controller", "linear", "--c", "1", "--T", "0.01"]) == 0
+    assert set(passed) == {field.name for field in dataclasses.fields(real)}
 
 
 def test_simulate_deterministic_bytes(tmp_path):

@@ -125,9 +125,6 @@ def test_sim_config_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SimConfig(controller="linear", **{"c": 1.0, name: bad})
-    g = gen_path(3)
-    with pytest.raises(ValueError, match="s0"):
-        simulate(g, [0], linear_unstable(0.1), SimConfig(controller="linear", c=1.0, s0=np.zeros(2), t_end=0.01))
 
 
 def test_sim_result_csv_shape():
@@ -197,8 +194,7 @@ def test_chua_trajectory_stays_bounded_briefly():
     # double-scroll orbits are bounded; a short free run must not blow up
     dyn = chua()
     g = gen_path(3)
-    cfg = SimConfig(controller="linear", c=1e-6, d=0.0, dt=1e-3, t_end=5.0, seed=6,
-                    init_low=-0.5, init_high=0.5)
+    cfg = SimConfig(controller="linear", c=1e-6, d=0.0, dt=1e-3, t_end=5.0, seed=6)
     res = simulate(g, [0], dyn, cfg)
     assert res.blowup_time is None
     assert np.all(np.isfinite(res.error_norms))
@@ -227,8 +223,9 @@ def test_linear_propagator_matches_stage_by_stage_rk4():
         cfg = SimConfig(controller="linear", c=float(rng.uniform(0.2, 4.0)),
                         d=float(rng.uniform(0.0, 6.0)), dt=float(rng.choice([0.01, 0.05, 0.4])),
                         t_end=float(rng.choice([2.0, 40.0, 40.0])), seed=t,
-                        record_every=int(rng.integers(1, 12)),
-                        s0=np.array([rng.uniform(-1.0, 1.0) if t % 4 == 0 else 0.0]))
+                        record_every=int(rng.integers(1, 12)))
+        s0 = np.array([rng.uniform(-1.0, 1.0) if t % 4 == 0 else 0.0])
+        dyn = dataclasses.replace(dyn, default_s0=s0)
         calls.clear()
         fast = simulate(g, pins, dyn, cfg)
         assert not calls, "the linear run should not evaluate f"
@@ -242,7 +239,7 @@ def test_linear_propagator_matches_stage_by_stage_rk4():
         # rounding scales with |s(t)| too; with s0 = 0 the scale is the row's largest error
         h = a * cfg.dt
         growth = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24  # one RK4 step of s' = a*s
-        ref = abs(cfg.s0[0]) * growth ** np.round(slow.times / cfg.dt)
+        ref = abs(s0[0]) * growth ** np.round(slow.times / cfg.dt)
         scale = slow.error_norms.max(axis=1) + ref
         assert np.all(np.abs(fast.error_norms - slow.error_norms) <= 1e-12 * scale[:, None])
         outcomes["blowup" if slow.blowup_time is not None
@@ -264,8 +261,8 @@ def _stepwise_simulate(g, s, dyn, cfg):
     adaptive = cfg.controller == "adaptive"
     rng = np.random.default_rng(cfg.seed)
     z = np.empty((n + 1, dyn.dim))
-    z[:n] = rng.uniform(cfg.init_low, cfg.init_high, size=(n, dyn.dim))
-    z[n] = cfg.s0 if cfg.s0 is not None else dyn.default_s0
+    z[:n] = rng.uniform(-1.0, 1.0, size=(n, dyn.dim))
+    z[n] = dyn.default_s0
     dvec = np.zeros(len(pins))
 
     if dyn.linear_rate is not None and not adaptive:
