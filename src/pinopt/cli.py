@@ -113,39 +113,54 @@ def _write_out(text: str, out: str | None) -> None:
         _write_file(out, text)
 
 
-def _flag_values(args, command: str, flags) -> list:
-    """The values of `flags` in order; a flag left at None was not given."""
-    values = [getattr(args, flag) for flag in flags]
-    for flag, value in zip(flags, values):
-        if value is None:
-            raise UsageError(f"{command}: --{flag} is required")
-    return values
+def _flag_values(args, command: str, table: dict, choice: str, also=()) -> dict:
+    """The flags of `choice`'s row of `table`, and `also`, that were given,
+    by name. A needed flag not given (or given an empty list) is a usage
+    error, and so is a given flag that another row of `table` names and
+    this call does not read; --seed, which every subcommand accepts, is
+    never refused."""
+    needs, reads = table[choice][:2]
+    for flag in needs:
+        if getattr(args, flag) in (None, []):
+            raise UsageError(f"{command} {choice}: --{flag} is required")
+    own = needs + reads + also
+    for row in table.values():
+        for flag in row[0] + row[1]:
+            if flag not in own and flag != "seed" and getattr(args, flag) is not None:
+                raise UsageError(f"{command} {choice}: --{flag} is not read by {choice}")
+    return {flag: getattr(args, flag) for flag in own if getattr(args, flag) is not None}
 
 
-# One table per CLI concept; its keys are the argparse choices. Entries look
-# their function up on the module when called, never holding it, so that a
-# function rebound there (as a tracing harness does) is the one called.
+# One table per CLI concept; its keys are the argparse choices. Each row
+# names, by argparse dest, the flags its choice needs (checked in this
+# order) and the flags it may read; _flag_values refuses every other flag
+# a row of the table names. Only given flags are passed, by keyword, so a
+# flag left out keeps the default of the function or dataclass it feeds.
+# Row calls look their function up on the module when called, never
+# holding it, so that a function rebound there (as a tracing harness
+# does) is the one called, and they pass l by position, as that harness
+# reads it.
 
 
 # -- gen ---------------------------------------------------------------------
 
-# The flags of each generators.gen_<family>, in its parameter order.
+# The flags of each generators.gen_<family>: (needs, reads).
 GEN_FLAGS = {
-    "star": ("n",),
-    "double_star": ("k",),
-    "complete": ("n",),
-    "path": ("n",),
-    "ba": ("n", "m0", "m", "seed"),
-    "nw": ("n", "K", "p", "seed"),
-    "erdos_renyi": ("n", "p", "seed"),
+    "star": (("n",), ()),
+    "double_star": (("k",), ()),
+    "complete": (("n",), ()),
+    "path": (("n",), ()),
+    "ba": (("n", "m0", "m"), ("seed",)),
+    "nw": (("n", "K", "p"), ("seed",)),
+    "erdos_renyi": (("n", "p"), ("seed",)),
 }
 
 
 def cmd_gen(args) -> int:
     fam = args.family
-    values = _flag_values(args, f"gen {fam}", GEN_FLAGS[fam])
+    flags = _flag_values(args, "gen", GEN_FLAGS, fam)
     try:
-        g = getattr(gen_mod, f"gen_{fam}")(*values)
+        g = getattr(gen_mod, f"gen_{fam}")(**flags)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"gen {fam}: {exc}") from None
     _write_out(format_edge_list(g), args.out)
@@ -164,25 +179,23 @@ def cmd_analyze(args) -> int:
 
 # -- select ------------------------------------------------------------------
 
-# Each strategy: the select flags it needs, checked in this order, and
-# its call (g, l, q, seed, runs, budget) -> SelectionResult.
+# Each strategy: (needs, reads, its call (g, **flags) -> SelectionResult).
 STRATEGIES = {
-    "degree_mix": (("q", "l"), lambda g, l, q, seed, runs, budget: strat_mod.select_degree_mix(
-        g, strat_mod.StrategyConfig(l=l, q=q, seed=seed, runs=runs))),
-    "betweenness": (("l",), lambda g, l, *_: strat_mod.select_betweenness(g, l)),
-    "greedy": (("l",), lambda g, l, *_: strat_mod.greedy_max_lambda1(g, l)),
-    "brute_force": (("l",), lambda g, l, q, seed, runs, budget: strat_mod.brute_force_max_lambda1(
-        g, l, budget=budget)),
-    "dominating": ((), lambda g, l, q, seed, *_: strat_mod.dominating_partition(g, seed=seed)),
+    "degree_mix": (("q", "l"), ("seed", "runs"), lambda g, **kw: strat_mod.select_degree_mix(
+        g, strat_mod.StrategyConfig(**kw))),
+    "betweenness": (("l",), (), lambda g, l: strat_mod.select_betweenness(g, l)),
+    "greedy": (("l",), (), lambda g, l: strat_mod.greedy_max_lambda1(g, l)),
+    "brute_force": (("l",), ("budget",), lambda g, l, **kw: strat_mod.brute_force_max_lambda1(
+        g, l, **kw)),
+    "dominating": ((), ("seed",), lambda g, **kw: strat_mod.dominating_partition(g, **kw)),
 }
 
 
 def cmd_select(args) -> int:
     g = _read_graph(args.graph)
-    needs, call = STRATEGIES[args.strategy]
-    _flag_values(args, f"select {args.strategy}", needs)
+    flags = _flag_values(args, "select", STRATEGIES, args.strategy)
     try:
-        res = call(g, args.l, args.q, args.seed, args.runs, args.budget)
+        res = STRATEGIES[args.strategy][2](g, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sys.stdout.write(res.to_json() + "\n")
@@ -203,49 +216,39 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_pin_sets(g: Graph, strategy: str, l: int, q: float | None, runs: int, seed: int,
-                    budget: int) -> list[tuple[int, ...]]:
-    """The pin sets one sweep cell averages over: one per tie-breaking run
-    for degree_mix, the selected set for the other strategies."""
-    if strategy == "degree_mix":
-        return [strat_mod.degree_mix_pins(g, l, q, seed, r) for r in range(runs)]
-    _, call = STRATEGIES[strategy]
-    return [call(g, l, q, seed, runs, budget).pin_set]
-
-
 def sweep_rows(
     g: Graph,
     strategy: str,
     ls: list[int],
-    qs: list[float] | None,
-    runs: int,
-    seed: int,
+    qs: list[float] | None = None,
     with_brute: bool = False,
     budget: int = strat_mod.BRUTE_FORCE_BUDGET,
+    **flags,
 ) -> list[dict]:
-    """One dict per (l, q) cell; bound columns are averaged over the same
-    tie-breaking runs as lambda1_mean, so every row keeps
-    lower_min_boundary <= lambda1_mean <= each upper column."""
-    rows: list[dict] = []
-    q_list: list[float | None] = [None]
-    if strategy == "degree_mix":
-        q_list = [] if qs is None else list(qs)
-        if not q_list:
-            raise UsageError("sweep degree_mix: --q is required")
-        if runs < 1:
-            raise ValueError(f"need runs >= 1, got runs={runs}")
+    """One dict per (l, q) cell, q None but for degree_mix, whose cells
+    each take the tie-breaking runs of StrategyConfig(l, q, **flags).
+    Bound columns are averaged over the same runs as lambda1_mean, so
+    every row keeps lower_min_boundary <= lambda1_mean <= each upper
+    column. `budget` bounds the brute-force searches."""
+    searched = with_brute or strategy == "brute_force"
     # every cell, in order, before the first solve: C(n, l) is not monotone in l
     for l in ls:
-        check_l(g, l, budget if with_brute or strategy == "brute_force" else None)
-    for q in q_list if strategy == "degree_mix" else ():
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"q must be in [0, 1], got q={q}")
+        check_l(g, l, budget if searched else None)
+    q_list = qs if strategy == "degree_mix" else [None]
+    # then each degree-mix cell's q and runs, through the config that checks them
+    configs = {(l, q): strat_mod.StrategyConfig(l=l, q=q, **flags)
+               for l in ls for q in q_list} if strategy == "degree_mix" else {}
+    rows: list[dict] = []
     for l in ls:
-        brute = strat_mod.brute_force_max_lambda1(g, l, budget=budget) if with_brute else None
+        brute = strat_mod.brute_force_max_lambda1(g, l, budget=budget) if searched else None
         for q in q_list:
-            # a brute-force sweep's own search is the brute column's search
-            pin_sets = ([brute.pin_set] if brute is not None and strategy == "brute_force"
-                        else _sweep_pin_sets(g, strategy, l, q, runs, seed, budget))
+            if strategy == "degree_mix":
+                cfg = configs[l, q]
+                pin_sets = [strat_mod.degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
+            elif strategy == "brute_force":  # its own search is the brute column's search
+                pin_sets = [brute.pin_set]
+            else:
+                pin_sets = [STRATEGIES[strategy][2](g, l, **flags).pin_set]
             # one report per pin set, each freeing its grounding on return
             reports = [bounds_mod.bound_report(g, pins) for pins in pin_sets]
             lams = [r.lambda1 for r in reports]
@@ -282,46 +285,38 @@ def format_sweep_csv(rows: list[dict], with_brute: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_l_range(spec: str) -> list[int]:
-    parts = spec.split(":")
+def _l_range(spec: str) -> list[int]:
+    """argparse type: A:B[:STEP] inclusive, or a single l."""
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in spec.split(":")]
     except ValueError:
-        raise UsageError(f"--l-range must be A:B[:STEP] or a single integer, got {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"must be A:B[:STEP] or a single integer, got {spec!r}") from None
     if len(nums) == 1:
         return nums
-    if len(nums) == 2:
-        a, b = nums
-        step = 1
-    elif len(nums) == 3:
-        a, b, step = nums
-    else:
-        raise UsageError(f"--l-range must be A:B[:STEP], got {spec!r}")
+    if len(nums) > 3:
+        raise argparse.ArgumentTypeError(f"must be A:B[:STEP], got {spec!r}")
+    a, b, step = nums + [1] * (3 - len(nums))
     if step < 1 or b < a:
-        raise UsageError(f"--l-range needs A <= B and STEP >= 1, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"needs A <= B and STEP >= 1, got {spec!r}")
     return list(range(a, b + 1, step))
+
+
+def _floats(text: str) -> list[float]:
+    """argparse type: comma-separated floats, empty items skipped."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated floats, got {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
     g = _read_graph(args.graph)
-    ls = _parse_l_range(args.l_range)
-    qs = None
-    if args.q is not None:
-        try:
-            qs = [float(t) for t in args.q.split(",") if t.strip() != ""]
-        except ValueError:
-            raise UsageError(f"--q must be comma-separated floats, got {args.q!r}") from None
+    # --budget also bounds the brute column's search
+    also = ("budget",) if args.with_brute_force else ()
+    flags = _flag_values(args, "sweep", STRATEGIES, args.strategy, also)
     try:
-        rows = sweep_rows(
-            g,
-            args.strategy,
-            ls,
-            qs,
-            runs=args.runs,
-            seed=args.seed,
-            with_brute=args.with_brute_force,
-            budget=args.budget,
-        )
+        rows = sweep_rows(g, args.strategy, flags.pop("l"), flags.pop("q", None),
+                          with_brute=args.with_brute_force, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_out(format_sweep_csv(rows, args.with_brute_force), args.out)
@@ -330,28 +325,27 @@ def cmd_sweep(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
-# Each node dynamics, built from the growth rate --a.
+# Each node dynamics: (needs, reads, its builder).
 DYNAMICS = {
-    "linear_unstable": lambda a: sync_mod.linear_unstable(a),
-    "chua": lambda a: sync_mod.chua(),
+    "linear_unstable": ((), ("a",), lambda **kw: sync_mod.linear_unstable(**kw)),
+    "chua": ((), (), lambda: sync_mod.chua()),
+}
+
+# The SimConfig flags of each controller: (needs, reads).
+_STEPPING = ("dt", "t_end", "record_every")
+CONTROLLERS = {
+    "adaptive": ((), ("h",) + _STEPPING),
+    "linear": ((), ("d",) + _STEPPING),
 }
 
 
 def cmd_simulate(args) -> int:
     g = _read_graph(args.graph)
     pins = _parse_pins(args, g)
-    dyn = DYNAMICS[args.dynamics](args.a)
+    dyn = DYNAMICS[args.dynamics][2](**_flag_values(args, "simulate", DYNAMICS, args.dynamics))
+    flags = _flag_values(args, "simulate", CONTROLLERS, args.controller)
     try:
-        cfg = sync_mod.SimConfig(
-            controller=args.controller,
-            c=args.c,
-            h=args.h,
-            d=args.d,
-            dt=args.dt,
-            t_end=args.t_end,
-            seed=args.seed,
-            record_every=args.record_every,
-        )
+        cfg = sync_mod.SimConfig(controller=args.controller, c=args.c, seed=args.seed, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     res = sync_mod.simulate(g, pins, dyn, cfg)
@@ -375,17 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=0)
     searched = _Parser(add_help=False, parents=[seeded])
-    searched.add_argument("--runs", type=int, default=1)
-    searched.add_argument("--budget", type=int, default=strat_mod.BRUTE_FORCE_BUDGET)
+    searched.add_argument("--runs", type=int)
+    searched.add_argument("--budget", type=int)
 
     p_gen = sub.add_parser("gen", parents=[seeded], help="generate a graph and print its edge list")
     p_gen.add_argument("--family", required=True, choices=GEN_FLAGS)
-    p_gen.add_argument("--n", type=int, default=None, help="node count")
-    p_gen.add_argument("--k", type=int, default=None, help="leaves per hub (double_star)")
-    p_gen.add_argument("--m0", type=int, default=None, help="seed clique size (ba)")
-    p_gen.add_argument("--m", type=int, default=None, help="attachments per new node (ba)")
-    p_gen.add_argument("--K", type=int, default=None, help="lattice degree (nw)")
-    p_gen.add_argument("--p", type=float, default=None, help="edge/shortcut probability")
+    p_gen.add_argument("--n", type=int, help="node count")
+    p_gen.add_argument("--k", type=int, help="leaves per hub (double_star)")
+    p_gen.add_argument("--m0", type=int, help="seed clique size (ba)")
+    p_gen.add_argument("--m", type=int, help="attachments per new node (ba)")
+    p_gen.add_argument("--K", type=int, help="lattice degree (nw)")
+    p_gen.add_argument("--p", type=float, help="edge/shortcut probability")
     p_gen.add_argument("--out", default=None, help="output file (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -397,15 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", parents=[searched], help="pick a pin set with one strategy")
     p_sel.add_argument("graph")
     p_sel.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p_sel.add_argument("--l", type=int, default=None)
-    p_sel.add_argument("--q", type=float, default=None)
+    p_sel.add_argument("--l", type=int)
+    p_sel.add_argument("--q", type=float)
     p_sel.set_defaults(func=cmd_select)
 
     p_sw = sub.add_parser("sweep", parents=[searched], help="lambda1 and bounds across l (and q)")
     p_sw.add_argument("graph")
     p_sw.add_argument("--strategy", required=True, choices=[s for s in STRATEGIES if s != "dominating"])
-    p_sw.add_argument("--l-range", required=True, help="A:B[:STEP] inclusive, or a single l")
-    p_sw.add_argument("--q", default=None, help="comma-separated q values (degree_mix)")
+    p_sw.add_argument("--l-range", dest="l", type=_l_range, required=True,
+                      help="A:B[:STEP] inclusive, or a single l")
+    p_sw.add_argument("--q", type=_floats, help="comma-separated q values (degree_mix)")
     p_sw.add_argument("--with-brute-force", action="store_true",
                       help="append an exact-max column (budget applies)")
     p_sw.add_argument("--out", default=None, help="output file (default stdout)")
@@ -414,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[pinned, seeded], help="integrate the pinned network")
     p_sim.add_argument("graph")
     p_sim.add_argument("--dynamics", required=True, choices=DYNAMICS)
-    p_sim.add_argument("--a", type=_finite_float, default=1.0, help="growth rate (linear_unstable)")
-    p_sim.add_argument("--controller", required=True, choices=["adaptive", "linear"])
+    p_sim.add_argument("--a", type=_finite_float, help="growth rate (linear_unstable)")
+    p_sim.add_argument("--controller", required=True, choices=CONTROLLERS)
     p_sim.add_argument("--c", type=_finite_float, required=True, help="coupling strength")
-    p_sim.add_argument("--h", type=_finite_float, default=1.0, help="adaptation rate")
-    p_sim.add_argument("--d", type=_finite_float, default=0.0, help="constant gain (linear controller)")
-    p_sim.add_argument("--dt", type=_finite_float, default=1e-3, help="RK4 step, at most --T")
-    p_sim.add_argument("--T", dest="t_end", type=_finite_float, default=50.0)
-    p_sim.add_argument("--record-every", type=int, default=10)
+    p_sim.add_argument("--h", type=_finite_float, help="adaptation rate (adaptive)")
+    p_sim.add_argument("--d", type=_finite_float, help="constant gain (linear)")
+    p_sim.add_argument("--dt", type=_finite_float, help="RK4 step, at most --T")
+    p_sim.add_argument("--T", dest="t_end", type=_finite_float)
+    p_sim.add_argument("--record-every", type=int)
     p_sim.add_argument("--out-csv", default=None, help="write the error/gain time series here")
     p_sim.set_defaults(func=cmd_simulate)
 

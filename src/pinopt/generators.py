@@ -121,26 +121,26 @@ def _pairs_at(n: int, keep: np.ndarray) -> np.ndarray:
     return _pairs(u, t - starts[u] + u + 1)
 
 
-def gen_nw(n: int, k: int, p: float, seed: int) -> Graph:
+def gen_nw(n: int, K: int, p: float, seed: int) -> Graph:
     """Ring lattice plus random shortcuts (small-world without rewiring).
 
-    Every node is wired to its k/2 nearest neighbors on each side of a
+    Every node is wired to its K/2 nearest neighbors on each side of a
     ring; each remaining pair is then added independently with
     probability p. No lattice edge is ever removed, so the minimum
-    degree stays >= k.
+    degree stays >= K.
     """
     _check_size(n)
-    if k % 2 != 0 or k < 2:
-        raise ValueError(f"lattice degree k must be even and >= 2, got k={k}")
-    if not (k < n):
-        raise ValueError(f"need k < n, got k={k}, n={n}")
+    if K % 2 != 0 or K < 2:
+        raise ValueError(f"lattice degree K must be even and >= 2, got K={K}")
+    if not (K < n):
+        raise ValueError(f"need K < n, got K={K}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"shortcut probability must be in [0, 1], got p={p}")
     rng = np.random.default_rng(seed)
     keep = rng.random(n * (n - 1) // 2) < p
-    # the lattice pairs (u, u + s mod n), 1 <= s <= k/2
-    u = np.repeat(np.arange(n), k // 2)
-    v = (u + np.tile(np.arange(1, k // 2 + 1), n)) % n
+    # the lattice pairs (u, u + s mod n), 1 <= s <= K/2
+    u = np.repeat(np.arange(n), K // 2)
+    v = (u + np.tile(np.arange(1, K // 2 + 1), n)) % n
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keep[_row_starts(n)[lo] + hi - lo - 1] = True
     return build_graph(n, _pairs_at(n, keep))

@@ -86,20 +86,19 @@ def _result(strategy: str, pins, lam: float, seed: int | None = None) -> Selecti
                            pin_set=pins, lambda1=lam, lambda1_runs=(lam,))
 
 
-def degree_mix_pins(g: Graph, l: int, q: float, seed: int, run: int) -> tuple[int, ...]:
-    """The degree-mix set for one tie-breaking run.
+def degree_mix_pins(g: Graph, cfg: StrategyConfig, run: int) -> tuple[int, ...]:
+    """The degree-mix set of `cfg` (l, q, seed) for one tie-breaking run.
 
     round(q*l) highest-degree nodes (round-half-to-even) plus the
     l - round(q*l) lowest-degree nodes among the remainder, so the set
     always has exactly l members. Degree ties are broken by a random
     permutation drawn from the stream (seed, run).
     """
+    l = cfg.l
     check_l(g, l)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must be in [0, 1], got q={q}")
-    n_top = round(q * l)
+    n_top = round(cfg.q * l)
     deg = g.degrees
-    rng = np.random.default_rng([seed, run])
+    rng = np.random.default_rng([cfg.seed, run])
     tie = rng.permutation(g.n)
     by_top = np.lexsort((tie, -deg))
     rest = by_top[n_top:]
@@ -115,7 +114,7 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     """
     if cfg.q is None:
         raise ValueError("degree mix needs q in [0, 1]")
-    pin_sets = [degree_mix_pins(g, cfg.l, cfg.q, cfg.seed, r) for r in range(cfg.runs)]
+    pin_sets = [degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
     runs = tuple(ground(g, pins).lambda1 for pins in pin_sets)
     return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
                            pin_set=pin_sets[0], lambda1=float(np.mean(runs)), lambda1_runs=runs)

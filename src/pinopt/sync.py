@@ -96,7 +96,7 @@ class NodeDynamics:
         return self.alpha_min + 0.5
 
 
-def linear_unstable(a: float) -> NodeDynamics:
+def linear_unstable(a: float = 1.0) -> NodeDynamics:
     """Scalar dynamic f(x) = a*x; unstable for a > 0. alpha_min = a exactly."""
 
     def f(x: np.ndarray) -> np.ndarray:

@@ -225,6 +225,11 @@ def test_sweep_usage_errors(double_star_file):
                    "--l-range", "5:1").returncode == 1  # empty range
     assert run_cli("sweep", str(double_star_file), "--strategy", "greedy",
                    "--l-range", "x:y").returncode == 1
+    res = run_cli("sweep", str(double_star_file), "--strategy", "degree_mix",
+                  "--l-range", "1:5", "--q", ",")  # a --q list with no value
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error: sweep degree_mix: --q is required" in res.stderr
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -297,7 +302,7 @@ def test_simulate_usage_errors(tmp_path):
 
 
 def test_simulate_sets_every_sim_config_field(tmp_path, monkeypatch):
-    # a SimConfig field that no simulate flag sets fails here
+    # a SimConfig field that no flag sets under either controller fails here
     real, passed = pinopt.sync.SimConfig, {}
 
     def recorded(**kwargs):
@@ -307,8 +312,10 @@ def test_simulate_sets_every_sim_config_field(tmp_path, monkeypatch):
     monkeypatch.setattr(pinopt.sync, "SimConfig", recorded)
     path = tmp_path / "p3.txt"
     path.write_text(format_edge_list(generators.gen_path(3)))
-    assert main(["simulate", str(path), "--pins", "0", "--dynamics", "linear_unstable",
-                 "--controller", "linear", "--c", "1", "--T", "0.01"]) == 0
+    stepping = ["--c", "1", "--dt", "0.005", "--T", "0.01", "--record-every", "2", "--seed", "3"]
+    for controller, gain in (("adaptive", ["--h", "2"]), ("linear", ["--d", "2"])):
+        assert main(["simulate", str(path), "--pins", "0", "--dynamics", "linear_unstable",
+                     "--controller", controller, *stepping, *gain]) == 0
     assert set(passed) == {field.name for field in dataclasses.fields(real)}
 
 
@@ -350,6 +357,43 @@ def test_simulate_rejects_non_finite_flags_and_dt_past_t_end(double_star_file, f
     assert res.stdout == ""
     assert message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# ------------------------------------------------------- flags a choice does not read
+
+
+@pytest.mark.parametrize("argv, where, flag", [
+    (["gen", "--family", "star", "--n", "4", "--p", "0.3"], "gen star", "p"),
+    (["gen", "--family", "ba", "--n", "9", "--m0", "3", "--m", "2", "--K", "4"], "gen ba", "K"),
+    (["gen", "--family", "double_star", "--k", "3", "--n", "9"], "gen double_star", "n"),
+    (["select", "{ds}", "--strategy", "greedy", "--l", "1", "--q", "5"], "select greedy", "q"),
+    (["select", "{ds}", "--strategy", "dominating", "--l", "4"], "select dominating", "l"),
+    (["select", "{ds}", "--strategy", "betweenness", "--l", "2", "--runs", "3"],
+     "select betweenness", "runs"),
+    (["select", "{ds}", "--strategy", "degree_mix", "--l", "2", "--q", "0.5", "--budget", "9"],
+     "select degree_mix", "budget"),
+    (["sweep", "{ds}", "--strategy", "greedy", "--l-range", "1", "--q", "7"], "sweep greedy", "q"),
+    (["sweep", "{ds}", "--strategy", "greedy", "--l-range", "1", "--budget", "7"],
+     "sweep greedy", "budget"),
+    (["sweep", "{ds}", "--strategy", "brute_force", "--l-range", "1", "--runs", "2"],
+     "sweep brute_force", "runs"),
+    (["simulate", "{ds}", "--pins", "1", "--dynamics", "chua", "--a", "7",
+      "--controller", "adaptive", "--c", "1"], "simulate chua", "a"),
+    (["simulate", "{ds}", "--pins", "1", "--dynamics", "chua",
+      "--controller", "adaptive", "--c", "1", "--d", "5"], "simulate adaptive", "d"),
+    (["simulate", "{ds}", "--pins", "1", "--dynamics", "linear_unstable",
+      "--controller", "linear", "--c", "1", "--h", "9"], "simulate linear", "h"),
+], ids=lambda case: case.replace(" ", "-") if isinstance(case, str) else None)
+def test_a_flag_the_choice_does_not_read_is_refused(double_star_file, capsys, argv, where, flag):
+    choice = where.split()[1]
+    assert main([a.format(ds=double_star_file) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {where}: --{flag} is not read by {choice}\n")
+
+
+def test_sweep_reads_budget_for_the_brute_column(double_star_file, capsys):
+    argv = ["sweep", str(double_star_file), "--strategy", "greedy", "--l-range", "1", "--budget", "9"]
+    assert main(argv + ["--with-brute-force"]) == 3  # C(13, 1) = 13 subsets
+    assert "exceeds the budget of 9" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- entry point

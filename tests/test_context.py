@@ -96,8 +96,9 @@ def test_spectrum_is_solved_without_keeping_the_laplacian():
 def test_reports_and_sweeps_keep_no_laplacian():
     g = rand_connected(np.random.default_rng(47), 30, extra=20)
     bound_report(g, [0, 5], alpha_over_c=0.5)
-    for strategy, qs in (("degree_mix", [0.0, 0.5, 1.0]), ("betweenness", None)):
-        sweep_rows(g, strategy, [2, 4], qs, 3, 7)
+    for strategy, qs, flags in (("degree_mix", [0.0, 0.5, 1.0], {"runs": 3, "seed": 7}),
+                                ("betweenness", None, {})):
+        sweep_rows(g, strategy, [2, 4], qs, **flags)
     assert "laplacian" not in vars(g)
 
 

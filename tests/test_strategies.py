@@ -216,12 +216,12 @@ def test_select_betweenness_ties_within_tolerance_go_to_smaller_ids(g):
 
 def test_degree_mix_pure_extremes():
     g = gen_star(8)  # degrees 7,1,1,...
-    assert degree_mix_pins(g, 1, 1.0, seed=0, run=0) == (0,)
-    assert 0 not in degree_mix_pins(g, 3, 0.0, seed=0, run=0)
+    assert degree_mix_pins(g, StrategyConfig(l=1, q=1.0, seed=0), run=0) == (0,)
+    assert 0 not in degree_mix_pins(g, StrategyConfig(l=3, q=0.0, seed=0), run=0)
     # distinct top degrees: the choice is forced whatever the seed
     g2 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     for seed in range(5):
-        assert degree_mix_pins(g2, 2, 1.0, seed=seed, run=0) == (0, 1)
+        assert degree_mix_pins(g2, StrategyConfig(l=2, q=1.0, seed=seed), run=0) == (0, 1)
 
 
 def test_degree_mix_split_counts():
@@ -229,7 +229,7 @@ def test_degree_mix_split_counts():
     g = gen_double_star(5)
     deg = g.degrees
     for l, q, want_top in [(3, 0.5, 2), (5, 0.5, 2), (4, 0.25, 1), (2, 1.0, 2)]:
-        pins = degree_mix_pins(g, l, q, seed=3, run=0)
+        pins = degree_mix_pins(g, StrategyConfig(l=l, q=q, seed=3), run=0)
         top = sum(1 for v in pins if deg[v] >= 6)  # hubs are the only high-degree nodes
         assert len(pins) == l
         if want_top <= 2:
@@ -239,11 +239,11 @@ def test_degree_mix_split_counts():
 def test_degree_mix_runs_share_degree_multiset():
     rng = np.random.default_rng(42)
     g = rand_connected(rng, 12, extra=6)
-    base = sorted(g.degrees[list(degree_mix_pins(g, 5, 0.6, seed=1, run=0))])
+    base = sorted(g.degrees[list(degree_mix_pins(g, StrategyConfig(l=5, q=0.6, seed=1), run=0))])
     for run in range(1, 6):
-        pins = degree_mix_pins(g, 5, 0.6, seed=1, run=run)
+        pins = degree_mix_pins(g, StrategyConfig(l=5, q=0.6, seed=1), run=run)
         assert sorted(g.degrees[list(pins)]) == base
-        assert degree_mix_pins(g, 5, 0.6, seed=1, run=run) == pins  # deterministic
+        assert degree_mix_pins(g, StrategyConfig(l=5, q=0.6, seed=1), run=run) == pins  # deterministic
 
 
 def test_degree_mix_pins_match_the_list_reference():
@@ -263,7 +263,7 @@ def test_degree_mix_pins_match_the_list_reference():
         for l in sorted({1, g.n - 1, int(rng.integers(1, g.n))}):
             for q in (0.0, 0.3, 0.5, 1.0):
                 for run in range(3):
-                    got = degree_mix_pins(g, l, q, seed=5, run=run)
+                    got = degree_mix_pins(g, StrategyConfig(l=l, q=q, seed=5), run=run)
                     assert got == reference(g, l, q, 5, run)
                     assert all(type(v) is int for v in got)
 
@@ -274,7 +274,7 @@ def test_select_degree_mix_aggregates_runs():
     res = select_degree_mix(g, cfg)
     assert len(res.lambda1_runs) == 8
     assert res.lambda1 == pytest.approx(float(np.mean(res.lambda1_runs)))
-    assert res.pin_set == degree_mix_pins(g, 4, 0.5, seed=7, run=0)
+    assert res.pin_set == degree_mix_pins(g, StrategyConfig(l=4, q=0.5, seed=7), run=0)
     assert res.q == 0.5 and res.strategy == "degree_mix"
 
 
