@@ -45,8 +45,7 @@ and the Ritz ceilings start from it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -309,9 +308,6 @@ class BoundReport:
     upper_single_pin: float | None
     alpha_over_c: float | None
     satisfied: bool | None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) -> BoundReport:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,8 +52,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer, as numpy's seeding requires."""
+def _non_negative_int(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy's seeding and a
+    subset budget require."""
     try:
         value = int(text)
     except ValueError:
@@ -111,6 +114,25 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         _write_file(out, text)
+
+
+# Fields a JSON line leaves out when unset; every other unset field prints null.
+_OMITTED_IF_NONE = ("q", "blowup_time")
+
+
+def _json_line(fields: dict) -> None:
+    """Print `fields` on stdout as one JSON object on one line."""
+    kept = {k: v for k, v in fields.items() if v is not None or k not in _OMITTED_IF_NONE}
+    sys.stdout.write(json.dumps(kept) + "\n")
+
+
+def _csv(cols: list[str], rows) -> str:
+    """A header line of `cols`, then one line per row: None as an empty
+    cell, an int in digits and any other value to 10 significant digits."""
+    lines = [",".join(cols)]
+    lines += [",".join("" if v is None else str(v) if isinstance(v, int) else f"{v:.10g}"
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _flag_values(args, command: str, table: dict, choice: str, also=()) -> dict:
@@ -173,7 +195,7 @@ def cmd_analyze(args) -> int:
     g = _read_graph(args.graph)
     pins = _parse_pins(args, g)
     report = bounds_mod.bound_report(g, pins, alpha_over_c=args.alpha_over_c)
-    sys.stdout.write(report.to_json() + "\n")
+    _json_line(asdict(report))
     return 0
 
 
@@ -198,7 +220,7 @@ def cmd_select(args) -> int:
         res = STRATEGIES[args.strategy][2](g, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sys.stdout.write(res.to_json() + "\n")
+    _json_line(asdict(res))
     return 0
 
 
@@ -252,37 +274,15 @@ def sweep_rows(
             # one report per pin set, each freeing its grounding on return
             reports = [bounds_mod.bound_report(g, pins) for pins in pin_sets]
             lams = [r.lambda1 for r in reports]
-            row = {
-                "l": l,
-                "q": q,
-                "lambda1_mean": float(np.mean(lams)),
-                "lambda1_std": float(np.std(lams)),
-                "upper_spectrum": reports[0].upper_spectrum,
-                "upper_kmin": float(np.mean([r.upper_kmin for r in reports])),
-                "upper_avg_boundary": float(np.mean([r.upper_avg_boundary for r in reports])),
-                "lower_min_boundary": float(np.mean([r.lower_min_boundary for r in reports])),
-            }
+            # upper_spectrum depends on l alone; the columns after it are
+            # BoundReport fields, averaged over the runs
+            values = [l, q, float(np.mean(lams)), float(np.std(lams)), reports[0].upper_spectrum]
+            values += [float(np.mean([getattr(r, col) for r in reports])) for col in SWEEP_COLUMNS[5:]]
+            row = dict(zip(SWEEP_COLUMNS, values))
             if with_brute:
                 row["lambda1_brute"] = brute.lambda1
             rows.append(row)
     return rows
-
-
-def format_sweep_csv(rows: list[dict], with_brute: bool) -> str:
-    cols = SWEEP_COLUMNS + (["lambda1_brute"] if with_brute else [])
-    lines = [",".join(cols)]
-    for row in rows:
-        vals = []
-        for col in cols:
-            v = row[col]
-            if v is None:
-                vals.append("")
-            elif col == "l":
-                vals.append(str(v))
-            else:
-                vals.append(f"{v:.10g}")
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
 
 
 def _l_range(spec: str) -> list[int]:
@@ -319,7 +319,8 @@ def cmd_sweep(args) -> int:
                           with_brute=args.with_brute_force, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_out(format_sweep_csv(rows, args.with_brute_force), args.out)
+    cols = SWEEP_COLUMNS + (["lambda1_brute"] if args.with_brute_force else [])
+    _write_out(_csv(cols, ([row[col] for col in cols] for row in rows)), args.out)
     return 0
 
 
@@ -350,8 +351,14 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     res = sync_mod.simulate(g, pins, dyn, cfg)
     if args.out_csv is not None:
-        _write_file(args.out_csv, res.to_csv())
-    sys.stdout.write(res.summary_json() + "\n")
+        cols = ["t"] + [f"e{i}" for i in range(g.n)]
+        series = [res.times[:, None], res.error_norms]
+        if res.gains is not None:
+            cols += [f"d{i}" for i in pins]
+            series.append(res.gains)
+        _write_file(args.out_csv, _csv(cols, np.hstack(series).tolist()))
+    _json_line({"converged": res.converged, "final_error": res.final_error,
+                "blowup_time": res.blowup_time})
     return 0
 
 
@@ -367,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     pinned.add_argument("--pins", default=None, help="comma-separated node ids")
     pinned.add_argument("--pins-file", default=None, help="file of whitespace-separated node ids")
     seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=_seed, default=0)
+    seeded.add_argument("--seed", type=_non_negative_int, default=0)
     searched = _Parser(add_help=False, parents=[seeded])
     searched.add_argument("--runs", type=int)
-    searched.add_argument("--budget", type=int)
+    searched.add_argument("--budget", type=_non_negative_int)
 
     p_gen = sub.add_parser("gen", parents=[seeded], help="generate a graph and print its edge list")
     p_gen.add_argument("--family", required=True, choices=GEN_FLAGS)

@@ -8,9 +8,8 @@ over tie-breaking runs where the strategy is randomized).
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,8 @@ CHUNK_ENTRIES = 1 << 15
 @dataclass(frozen=True)
 class StrategyConfig:
     """Selection parameters: target size l, degree-mix fraction q,
-    RNG seed, and number of tie-breaking runs to average over."""
+    RNG seed, and number of tie-breaking runs to average over. l is
+    checked against the graph, by graphs.check_l, where a selection starts."""
 
     l: int
     q: float | None = None
@@ -54,8 +54,6 @@ class StrategyConfig:
     runs: int = 1
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError(f"need l >= 1, got l={self.l}")
         if self.q is not None and not (0.0 <= self.q <= 1.0):
             raise ValueError(f"q must be in [0, 1], got q={self.q}")
         if self.runs < 1:
@@ -71,12 +69,6 @@ class SelectionResult:
     pin_set: tuple[int, ...]
     lambda1: float
     lambda1_runs: tuple[float, ...]
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        if self.q is None:
-            del d["q"]
-        return json.dumps(d)
 
 
 def _result(strategy: str, pins, lam: float, seed: int | None = None) -> SelectionResult:

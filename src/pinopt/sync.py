@@ -39,7 +39,6 @@ before it allocates any state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -194,30 +193,9 @@ class SimResult:
     times: np.ndarray
     error_norms: np.ndarray  # (samples, N)
     gains: np.ndarray | None  # (samples, l) in adaptive mode
-    pins: tuple[int, ...]
     converged: bool
     final_error: float
     blowup_time: float | None
-
-    def to_csv(self) -> str:
-        n = self.error_norms.shape[1]
-        cols = ["t"] + [f"e{i}" for i in range(n)]
-        if self.gains is not None:
-            cols += [f"d{i}" for i in self.pins]
-        lines = [",".join(cols)]
-        for k in range(len(self.times)):
-            row = [f"{self.times[k]:.10g}"]
-            row += [f"{x:.10g}" for x in self.error_norms[k]]
-            if self.gains is not None:
-                row += [f"{x:.10g}" for x in self.gains[k]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def summary_json(self) -> str:
-        out = {"converged": self.converged, "final_error": self.final_error}
-        if self.blowup_time is not None:
-            out["blowup_time"] = self.blowup_time
-        return json.dumps(out)
 
 
 def _closed_loop(g: Graph, pin_idx: np.ndarray, a: float, c: float, d: float) -> np.ndarray:
@@ -406,7 +384,6 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
         times=np.array(times),
         error_norms=error_norms,
         gains=np.array(gains) if adaptive else None,
-        pins=pins,
         converged=blowup_time is None and final_error < TOL_SYNC,
         final_error=final_error,
         blowup_time=blowup_time,

@@ -18,7 +18,8 @@ from pinopt.bounds import (
     upper_single_pin,
 )
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
-from pinopt.graphs import build_graph, ground, laplacian, pin_set
+from pinopt.cli import main
+from pinopt.graphs import build_graph, format_edge_list, ground, laplacian, pin_set
 from pinopt.spectra import eig_sym, lambda1
 
 TOL = 1e-9
@@ -301,9 +302,11 @@ def test_bound_report_fields():
     assert one.alpha_over_c is None and one.satisfied is None
 
 
-def test_bound_report_json_keys_stable():
-    g = gen_star(5)
-    keys = list(json.loads(bound_report(g, [0]).to_json()))
+def test_bound_report_json_keys_stable(tmp_path, capsys):
+    path = tmp_path / "star5.txt"
+    path.write_text(format_edge_list(gen_star(5)))
+    assert main(["analyze", str(path), "--pins", "0"]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
     assert keys == [
         "lambda1",
         "lower_min_boundary",

@@ -100,6 +100,7 @@ def test_analyze_double_star_hubs(double_star_file):
     assert rep["lambda1"] == pytest.approx(1.0, abs=1e-9)
     assert rep["lower_min_boundary"] == 1.0
     assert rep["satisfied"] is None
+    assert res.stdout.endswith('"upper_single_pin": null, "alpha_over_c": null, "satisfied": null}\n')
 
 
 def test_analyze_criterion_flag(double_star_file):
@@ -163,6 +164,14 @@ def test_select_deterministic_bytes(double_star_file):
     argv = ["select", str(double_star_file), "--strategy", "degree_mix",
             "--l", "4", "--q", "0.5", "--runs", "8", "--seed", "5"]
     assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+
+@pytest.mark.parametrize("strategy", ["brute_force", "greedy", "betweenness"])
+def test_select_prints_a_null_seed_and_no_q(double_star_file, capsys, strategy):
+    assert main(["select", str(double_star_file), "--strategy", strategy, "--l", "2"]) == 0
+    out = capsys.readouterr().out
+    assert '"seed": null' in out
+    assert list(json.loads(out)) == ["strategy", "l", "seed", "pin_set", "lambda1", "lambda1_runs"]
 
 
 # --------------------------------------------------------------------- sweep
@@ -288,6 +297,7 @@ def test_simulate_convergent_case(tmp_path):
     assert res.returncode == 0, res.stderr
     summary = json.loads(res.stdout)
     assert summary["converged"] is True
+    assert list(summary) == ["converged", "final_error"]  # no blowup_time without a blowup
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,e0,e1,e2,e3"
 
@@ -520,18 +530,20 @@ def test_non_utf8_input_is_a_data_error(tmp_path, double_star_file, which):
     assert "Traceback" not in res.stderr
 
 
+# each argv ends in the negative flag; --budget takes --seed's type
 @pytest.mark.parametrize("argv", [
-    ["gen", "--family", "ba", "--n", "10", "--m0", "3", "--m", "2"],
-    ["select", "{ds}", "--strategy", "dominating"],
-    ["sweep", "{ds}", "--strategy", "degree_mix", "--l-range", "1", "--q", "0.5"],
+    ["gen", "--family", "ba", "--n", "10", "--m0", "3", "--m", "2", "--seed", "-1"],
+    ["select", "{ds}", "--strategy", "dominating", "--seed", "-1"],
+    ["sweep", "{ds}", "--strategy", "degree_mix", "--l-range", "1", "--q", "0.5", "--seed", "-1"],
     ["simulate", "{ds}", "--pins", "1", "--dynamics", "chua", "--controller", "adaptive",
-     "--c", "1.0", "--T", "0.1"],
+     "--c", "1.0", "--T", "0.1", "--seed", "-1"],
+    ["select", "{ds}", "--strategy", "brute_force", "--l", "2", "--budget", "-1"],
 ])
 def test_negative_seed_is_a_usage_error(double_star_file, argv):
-    res = run_cli(*(a.format(ds=double_star_file) for a in argv), "--seed", "-1")
+    res = run_cli(*(a.format(ds=double_star_file) for a in argv))
     assert res.returncode == 1
     assert res.stdout == ""
-    assert "argument --seed: must be a non-negative integer" in res.stderr
+    assert f"argument {argv[-2]}: must be a non-negative integer" in res.stderr
     assert "Traceback" not in res.stderr
 
 

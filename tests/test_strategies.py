@@ -291,8 +291,9 @@ def test_degree_mix_full_pin_endpoints():
 
 
 def test_strategy_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig(l=0)
+    # l is checked by graphs.check_l, with the message every other selection gives
+    with pytest.raises(ValueError, match=r"^need 1 <= l <= n-1, got l=0 for n=13$"):
+        select_degree_mix(gen_double_star(5), StrategyConfig(l=0, q=0.5))
     with pytest.raises(ValueError):
         StrategyConfig(l=2, q=1.5)
     with pytest.raises(ValueError):
