@@ -241,7 +241,7 @@ SWEEP_COLUMNS = [
 def sweep_rows(
     g: Graph,
     strategy: str,
-    ls: list[int],
+    ls: list[int] | range,
     qs: list[float] | None = None,
     with_brute: bool = False,
     budget: int = strat_mod.BRUTE_FORCE_BUDGET,
@@ -285,20 +285,20 @@ def sweep_rows(
     return rows
 
 
-def _l_range(spec: str) -> list[int]:
-    """argparse type: A:B[:STEP] inclusive, or a single l."""
+def _l_range(spec: str) -> range:
+    """argparse type: A:B[:STEP] inclusive, or a single l; a range, so check_l refuses a huge one."""
     try:
         nums = [int(p) for p in spec.split(":")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be A:B[:STEP] or a single integer, got {spec!r}") from None
     if len(nums) == 1:
-        return nums
+        return range(nums[0], nums[0] + 1)
     if len(nums) > 3:
         raise argparse.ArgumentTypeError(f"must be A:B[:STEP], got {spec!r}")
     a, b, step = nums + [1] * (3 - len(nums))
     if step < 1 or b < a:
         raise argparse.ArgumentTypeError(f"needs A <= B and STEP >= 1, got {spec!r}")
-    return list(range(a, b + 1, step))
+    return range(a, b + 1, step)
 
 
 def _floats(text: str) -> list[float]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +42,22 @@ LAZY_ROWS = (128, 4096)
 # edge arrays hold about this many entries (more if one source alone needs it)
 CHUNK_ENTRIES = 1 << 15
 
+_betweenness: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Selection parameters: target size l, degree-mix fraction q,
-    RNG seed, and number of tie-breaking runs to average over. l is
-    checked against the graph, by graphs.check_l, where a selection starts."""
+    """Degree-mix parameters: target size l, the fraction q of it taken from
+    the highest degrees, RNG seed, and number of tie-breaking runs to average
+    over. l is checked against the graph, by graphs.check_l, where one starts."""
 
     l: int
-    q: float | None = None
+    q: float
     seed: int = 0
     runs: int = 1
 
     def __post_init__(self):
-        if self.q is not None and not (0.0 <= self.q <= 1.0):
+        if not (0.0 <= self.q <= 1.0):
             raise ValueError(f"q must be in [0, 1], got q={self.q}")
         if self.runs < 1:
             raise ValueError(f"need runs >= 1, got runs={self.runs}")
@@ -104,8 +107,6 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     The run-0 set is the one reported; runs differ only in how degree
     ties are broken.
     """
-    if cfg.q is None:
-        raise ValueError("degree mix needs q in [0, 1]")
     pin_sets = [degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
     runs = tuple(ground(g, pins).lambda1 for pins in pin_sets)
     return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
@@ -131,7 +132,7 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     """
     n = g.n
     indptr, indices = g.csr
-    deg = np.diff(indptr)
+    deg = g.degrees
     chunk = max(1, CHUNK_ENTRIES // max(n, len(indices)))
     bc = np.zeros(n)
     for lo in range(0, n, chunk):
@@ -188,9 +189,13 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     picked whose betweenness is at least ``top - TIE_TOL * max(1, top)``,
     where ``top`` is the largest value among them. Values that differ
     only by float noise therefore tie, and ties go to the smaller id.
+    A graph's betweenness is computed once, for every l, and kept while it lives.
     """
     check_l(g, l)
-    bc = betweenness_centrality(g)
+    bc = _betweenness.get(g)
+    if bc is None:
+        bc = _betweenness[g] = betweenness_centrality(g)
+        bc.flags.writeable = False
     left = np.ones(g.n, dtype=bool)
     for _ in range(l):
         top = bc[left].max()
@@ -199,10 +204,8 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     return _result("betweenness", pins, ground(g, pins).lambda1)
 
 
-def _partition_sweep(g: Graph, active: set[int], rng) -> set[int]:
-    """One sweep of the dominating partition: returns the nodes slated
-    for the pin set from the current working graph."""
-    nbrs = g.neighbors
+def _partition_sweep(g: Graph, nbrs: list[list[int]], active: set[int], rng) -> set[int]:
+    """One sweep of the dominating partition: the nodes it slates from the working graph `active`."""
     slate: set[int] = set()
     # the isolated nodes of the working graph, its singleton components,
     # go straight into the slate
@@ -210,18 +213,17 @@ def _partition_sweep(g: Graph, active: set[int], rng) -> set[int]:
         if len(comp) == 1:
             slate.add(comp[0])
             continue
-        comp_set = set(comp)
-        deg_in = {v: sum(1 for u in nbrs[v] if u in comp_set) for v in comp}
-        full = [v for v in comp if deg_in[v] == len(comp) - 1]
+        # a component holds all its nodes' active neighbours: their in-component degree
+        deg_in = [sum(u in active for u in nbrs[v]) for v in comp]
+        full = [v for v, d in zip(comp, deg_in) if d == len(comp) - 1]
         if full:
             slate.add(full[int(rng.integers(len(full)))])
             continue
-        dmin = min(deg_in.values())
-        for v in comp:
-            if deg_in[v] != dmin:
-                continue
-            candidates = [u for u in nbrs[v] if u in comp_set]
-            slate.add(candidates[int(rng.integers(len(candidates)))])
+        dmin = min(deg_in)
+        for v, d in zip(comp, deg_in):
+            if d == dmin:
+                candidates = [u for u in nbrs[v] if u in active]
+                slate.add(candidates[int(rng.integers(len(candidates)))])
     return slate
 
 
@@ -243,18 +245,18 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
-    nbrs = g.neighbors
+    ends, ids = (a.tolist() for a in g.csr)
+    nbrs = [ids[a:b] for a, b in zip(ends, ends[1:])]
     for attempt in range(64):
         rng = np.random.default_rng([seed, attempt])
         active = set(range(g.n))
         pins: set[int] = set()
         while active:
-            slate = _partition_sweep(g, active, rng)
+            slate = _partition_sweep(g, nbrs, active, rng)
             pins |= slate
-            removed = set(slate)
+            active -= slate
             for v in slate:
-                removed.update(u for u in nbrs[v] if u in active)
-            active -= removed
+                active.difference_update(nbrs[v])
         if len(pins) < g.n:
             return _result("dominating_partition", sorted(pins), ground(g, pins).lambda1, seed)
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")

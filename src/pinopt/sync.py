@@ -80,15 +80,19 @@ class NodeDynamics:
     certificate is stated in. `f` returns a new array; simulate only
     reads it, subtracting the coupling into a stage buffer of its own.
     `linear_rate`, when set, declares f(x) = linear_rate * x, which
-    lets simulate use the exact linear propagator.
+    lets simulate use the exact linear propagator. The state size `dim`
+    is that of the reference's start `default_s0`.
     """
 
     name: str
-    dim: int
     f: Callable[[np.ndarray], np.ndarray]  # rows are node states, (N, dim) -> (N, dim)
     alpha_min: float
     default_s0: np.ndarray
     linear_rate: float | None = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.default_s0)
 
     @property
     def alpha(self) -> float:
@@ -103,7 +107,6 @@ def linear_unstable(a: float = 1.0) -> NodeDynamics:
 
     return NodeDynamics(
         name="linear_unstable",
-        dim=1,
         f=f,
         alpha_min=float(a),
         default_s0=np.zeros(1),
@@ -141,7 +144,6 @@ def chua() -> NodeDynamics:
     alpha_min = max(mu2(m0), mu2(m1))
     return NodeDynamics(
         name="chua",
-        dim=3,
         f=f,
         alpha_min=alpha_min,
         default_s0=np.array([0.7, 0.0, 0.0]),

@@ -23,6 +23,12 @@ def rand_connected(rng: np.random.Generator, n: int, extra: int = 0) -> Graph:
     return build_graph(n, sorted(edges))
 
 
+def neighbours(g: Graph) -> list[list[int]]:
+    """Each node's neighbours, ascending, read from the graph's CSR arrays."""
+    indptr, indices = g.csr
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 def adjacency(g: Graph) -> np.ndarray:
     """The dense 0/1 adjacency matrix, set edge by edge."""
     a = np.zeros((g.n, g.n))
@@ -47,6 +53,7 @@ def betweenness_by_enumeration(g: Graph) -> np.ndarray:
     unordered pairs counted once.
     """
     bc = np.zeros(g.n)
+    nbrs = neighbours(g)
     for s in range(g.n):
         dist = {s: 0}
         pred: dict[int, list[int]] = {v: [] for v in range(g.n)}
@@ -54,7 +61,7 @@ def betweenness_by_enumeration(g: Graph) -> np.ndarray:
         while frontier:
             nxt = []
             for u in frontier:
-                for w in g.neighbors[u]:
+                for w in nbrs[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)

@@ -227,6 +227,26 @@ def test_sweep_brute_force_searches_once_per_l(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "\n".join(expect) + "\n"
 
 
+def test_sweep_computes_betweenness_once_per_graph(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ba.txt"
+    path.write_text(format_edge_list(generators.gen_ba(40, 3, 2, 23)))
+    argv = ["sweep", str(path), "--strategy", "betweenness", "--l-range"]
+    kept = []
+    real = pinopt.strategies.betweenness_centrality
+    monkeypatch.setattr(pinopt.strategies, "betweenness_centrality",
+                        lambda g: kept.append(real(g)) or kept[-1])
+    assert main(argv + ["1:5"]) == 0
+    assert len(kept) == 1 and not kept[0].flags.writeable
+    swept = capsys.readouterr().out
+    # one command per l, each computing afresh on its own graph, gives the same CSV
+    singles = []
+    for l in range(1, 6):
+        assert main(argv + [str(l)]) == 0
+        singles.append(capsys.readouterr().out.splitlines())
+    assert len(kept) == 6
+    assert swept.splitlines() == singles[0][:1] + [lines[1] for lines in singles]
+
+
 def test_sweep_usage_errors(double_star_file):
     assert run_cli("sweep", str(double_star_file), "--strategy", "degree_mix",
                    "--l-range", "1:5").returncode == 1  # missing --q
@@ -243,6 +263,8 @@ def test_sweep_usage_errors(double_star_file):
 
 @pytest.mark.parametrize("argv, code", [
     (["--strategy", "greedy", "--l-range", "1:300"], 1),
+    # refused at l = n, never listed
+    (["--strategy", "greedy", "--l-range", f"1:{10**15}"], 1),
     (["--strategy", "degree_mix", "--q", "0.5", "--l-range", "1:300"], 1),
     (["--strategy", "betweenness", "--l-range", "0:2"], 1),
     (["--strategy", "brute_force", "--l-range", "1:3"], 3),
@@ -252,7 +274,7 @@ def test_sweep_usage_errors(double_star_file):
     # every q too, not only the first cell's
     (["--strategy", "degree_mix", "--l-range", "1:200:100", "--q", "0.5,2", "--runs", "3"], 1),
     (["--strategy", "degree_mix", "--l-range", "1:200:100", "--q", "0.5,nan", "--runs", "3"], 1),
-], ids=["greedy_l_n", "degree_mix_l_n", "betweenness_l_0", "brute_force_budget",
+], ids=["greedy_l_n", "greedy_l_huge", "degree_mix_l_n", "betweenness_l_0", "brute_force_budget",
         "with_brute_force_budget", "budget_in_the_middle", "degree_mix_q_above_1",
         "degree_mix_q_nan"])
 def test_sweep_checks_every_cell_before_the_first_solve(tmp_path, monkeypatch, capsys, argv, code):

@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from conftest import adjacency, rand_connected, rand_pins
+from conftest import adjacency, neighbours, rand_connected, rand_pins
 from pinopt import generators
 from pinopt.bounds import (
     bound_report,
@@ -34,7 +34,8 @@ def ref_laplacian(g):
 def ref_ground(g, pins):
     keep = [v for v in range(g.n) if v not in set(pins)]
     sub = ref_laplacian(g)[np.ix_(keep, keep)]
-    weights = np.array([sum(1 for u in g.neighbors[v] if u in pins) for v in keep], dtype=np.int64)
+    nbrs = neighbours(g)
+    weights = np.array([sum(1 for u in nbrs[v] if u in pins) for v in keep], dtype=np.int64)
     return sub, tuple(keep), weights
 
 

@@ -39,9 +39,10 @@ def test_neighbors_and_adjacency_agree():
         a = adjacency(g)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
+        indptr, indices = g.csr
         for v in range(g.n):
-            assert sorted(np.flatnonzero(a[v]).tolist()) == list(g.neighbors[v])
-            assert g.degrees[v] == len(g.neighbors[v])
+            assert np.flatnonzero(a[v]).tolist() == indices[indptr[v]:indptr[v + 1]].tolist()
+            assert g.degrees[v] == indptr[v + 1] - indptr[v]
 
 
 def test_laplacian_is_degree_minus_adjacency():
@@ -53,14 +54,32 @@ def test_laplacian_is_degree_minus_adjacency():
         assert np.allclose(lap.sum(axis=1), 0.0)
 
 
+def test_stacked_lambda1s_equal_single_groundings_bit_for_bit():
+    # Graph.grounded_lambda1s gathers its blocks from the kept Laplacian,
+    # ground() scatters each from the edges: the lambda1 bits must agree
+    rng = np.random.default_rng(16)
+    cases = [rand_connected(rng, int(rng.integers(3, 30)), extra=int(rng.integers(0, 40)))
+             for _ in range(12)]
+    cases += [build_graph(7, []),
+              build_graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)]),
+              build_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (5, 7)])]
+    for g in cases:
+        for l in {1, 2, g.n - 1}:  # l = n - 1 leaves 1 x 1 blocks
+            for k in (1, 7):
+                pins = np.array([rng.choice(g.n, size=l, replace=False) for _ in range(k)])
+                want = np.array([ground(g, row).lambda1 for row in pins])
+                assert g.grounded_lambda1s(pins).tobytes() == want.tobytes(), (g.n, g.m, l, k)
+
+
 def test_pin_set_normalizes_and_validates():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert pin_set(g, [3, 1, 3]) == (1, 3)
-    with pytest.raises(ValueError, match="empty"):
+    # empty and full sets take check_l's message
+    with pytest.raises(ValueError, match=r"need 1 <= l <= n-1, got l=0 for n=5"):
         pin_set(g, [])
     with pytest.raises(ValueError, match="out of range"):
         pin_set(g, [5])
-    with pytest.raises(ValueError, match="uncontrolled"):
+    with pytest.raises(ValueError, match=r"need 1 <= l <= n-1, got l=5 for n=5"):
         pin_set(g, range(5))
 
 

@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import pinopt
 import pinopt.strategies
-from conftest import betweenness_by_enumeration, rand_connected
+from conftest import betweenness_by_enumeration, neighbours, rand_connected
 from test_acceptance import _suite
 from pinopt.bounds import RITZ_DEPTH
 from pinopt.generators import (
@@ -54,6 +56,7 @@ def _betweenness_with_arrays(g):
     """The Brandes loop over numpy arrays, as betweenness_centrality once ran it."""
     n = g.n
     bc = np.zeros(n, dtype=np.float64)
+    nbrs = neighbours(g)
     for s in range(n):
         sigma = np.zeros(n)
         sigma[s] = 1.0
@@ -67,7 +70,7 @@ def _betweenness_with_arrays(g):
             v = queue[head]
             head += 1
             order.append(v)
-            for w in g.neighbors[v]:
+            for w in nbrs[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -96,7 +99,7 @@ def _betweenness_list_loop(g):
     betweenness_centrality ran it before the sources were batched."""
     n = g.n
     bc = [0.0] * n
-    nbrs = g.neighbors
+    nbrs = neighbours(g)
     for s in range(n):
         sigma = [0.0] * n
         sigma[s] = 1.0
@@ -211,6 +214,16 @@ def test_select_betweenness_ties_within_tolerance_go_to_smaller_ids(g):
     assert select_betweenness(g, 3).pin_set == (0, 1, 2)
 
 
+def test_select_betweenness_keeps_no_graph_alive():
+    g = gen_ba(30, 3, 2, 31)
+    first = select_betweenness(g, 2)
+    assert select_betweenness(g, 2) == first
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
 # ----------------------------------------------------------------- degree mix
 
 
@@ -294,18 +307,20 @@ def test_strategy_config_validation():
     # l is checked by graphs.check_l, with the message every other selection gives
     with pytest.raises(ValueError, match=r"^need 1 <= l <= n-1, got l=0 for n=13$"):
         select_degree_mix(gen_double_star(5), StrategyConfig(l=0, q=0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be in"):
         StrategyConfig(l=2, q=1.5)
-    with pytest.raises(ValueError):
-        StrategyConfig(l=2, runs=0)
+    with pytest.raises(ValueError, match="runs >= 1"):
+        StrategyConfig(l=2, q=0.5, runs=0)
+    with pytest.raises(TypeError):  # q has no default
+        StrategyConfig(l=2)
 
 
 # ---------------------------------------------------------------- dominating
 
 
 def _dominates(g, pins):
-    s = set(pins)
-    return all(v in s or any(u in s for u in g.neighbors[v]) for v in range(g.n))
+    s, nbrs = set(pins), neighbours(g)
+    return all(v in s or any(u in s for u in nbrs[v]) for v in range(g.n))
 
 
 def test_dominating_partition_always_dominates():
