@@ -126,6 +126,9 @@ OFFDECK = [
     "simulate {ds5} --pins 0,6 --dynamics chua --controller linear --c 3 --d 5 --T 1 --dt 0.002",
     "simulate {nw40} --pins 0,13,26 --dynamics chua --controller linear --c 8 --d 20 --T 5 --dt 0.002",
     "simulate {split} --pins 0,3,5 --dynamics chua --controller linear --c 2 --d 4 --T 1 --dt 0.005",
+    # adaptive gains grow past RK4's stability limit: a blowup at step 331, row 6 of its scan block
+    "simulate {nw40} --pins 0,13,26 --dynamics chua --controller adaptive --c 2 --h 2e4 --T 4"
+    " --dt 0.01 --record-every 25",
     # refusals: usage (exit 1), data (exit 2) and budget (exit 3)
     "select {ba60} --strategy greedy --l 0",
     "select {ba60} --strategy greedy --l 60",

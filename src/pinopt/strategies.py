@@ -43,6 +43,8 @@ LAZY_ROWS = (128, 4096)
 CHUNK_ENTRIES = 1 << 15
 
 _betweenness: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
+# each graph's greedy picks and round lambda1s so far, in round order
+_greedy: weakref.WeakKeyDictionary[Graph, tuple[list[int], list[float]]] = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -358,29 +360,35 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
 
     Tie rule: each round adds the smallest node id whose lambda1 is at
     least that round's max - TIE_TOL. A round is the pruned search that
-    ``brute_force_max_lambda1`` runs, over the sets current + [v], one
+    ``brute_force_max_lambda1`` runs, over the sets picks + [v], one
     per node v not yet pinned, in ascending order of v; from the second
-    round on, the bottom eigenvector of the grounding on current, from
+    round on, the bottom eigenvector of the grounding on the picks, from
     one step of inverse iteration (``bounds.bottom_vector``), gives every
     set a ceiling (``bounds.after_pin_ceilings``) and starts its Ritz
     ceiling. A baseline for the exhaustive search: never better, often
     close.
+
+    A round depends only on the rounds before it, so the set for l is the
+    first l picks of the set for any larger l: a graph's picks and round
+    values are kept while it lives and extended on demand, and a sweep
+    over l runs max(l) rounds in all.
     """
     check_l(g, l)
-    current: list[int] = []
-    free = np.arange(g.n)
-    for k in range(l):
+    picks, vals = _greedy.setdefault(g, ([], []))
+    free = np.delete(np.arange(g.n), picks)
+    for k in range(len(picks), l):
         rows = np.empty((len(free), k + 1), dtype=np.int64)
-        rows[:, :k] = current
+        rows[:, :k] = picks
         rows[:, k] = free
         if k:
-            # the bottom eigenvector of the last winner, whose lambda1 is val,
-            # near enough, bounds each set current + [v] and starts its Ritz
-            y = bottom_vector(g, current, val)
+            # the bottom eigenvector of the last winner, whose lambda1 is vals[-1],
+            # near enough, bounds each set picks + [v] and starts its Ritz
+            y = bottom_vector(g, picks, vals[-1])
             win, val = _pruned_argmax(g, rows, after_pin_ceilings(g, y, free), y)
         else:
             win, val = _pruned_argmax(g, rows)
-        current.append(int(free[win]))
+        picks.append(int(free[win]))
+        vals.append(val)
         free = np.delete(free, win)
-    # the last round solved the grounding of exactly this set
-    return _result("greedy", sorted(current), val)
+    # round l solved the grounding of exactly this set
+    return _result("greedy", sorted(picks[:l]), vals[l - 1])

@@ -22,7 +22,11 @@ All other runs step one stacked state ``[z.ravel(), d]`` (nodes,
 reference, gains), each RK4 stage written into buffers allocated once
 per run in the element order of the plain expressions, so they match
 the stepwise reference (fresh arrays per stage, a blowup test after
-every step) bit for bit. Both controllers push ``d_i * e_i`` into the
+every step) bit for bit. Each stage calls the node dynamic once and
+makes 8 more NumPy calls (10 with adaptive gains), with 0-d float64
+scalars in place of Python floats, and 11 calls join a step's stages;
+``chua().f`` is 14 ufunc calls, each one operation of its literal
+expressions. Both controllers push ``d_i * e_i`` into the
 pinned nodes: the linear controller's gains start at ``c * d`` and keep
 it, as only the adaptive controller writes gain rates. Every run tests
 for blowup once per block of steps up to the next record point (at most
@@ -118,19 +122,42 @@ def chua() -> NodeDynamics:
     """Chua circuit with the piecewise-linear diode, at the double-scroll
     parameters a = 9, b = 100/7 and diode slopes m0 = -8/7, m1 = -5/7.
 
+    f(x) = (a*(v - u - phi), u - v + w, -b*v) for x = (u, v, w), with
+    phi = m1*u + (m0 - m1)/2 * (|u + 1| - |u - 1|). Each call fills one
+    fresh array by 14 ufunc calls on column views, each writing into an
+    output column (the third positional argument is ``out``), with 0-d
+    float64 constants. Each call is one operation of the literal
+    expressions, in their order, so the bits are theirs, signed zeros and
+    NaNs included. ``u - v`` is not taken as ``-(v - u)``: the two differ
+    in the sign of a zero.
+
     The growth certificate is the largest eigenvalue of the symmetrized
     Jacobian, maximized over the two diode slopes (the Jacobian is
     affine in the slope, so the endpoints dominate).
     """
     a_p, b_p, m0, m1 = 9.0, 100.0 / 7.0, -8.0 / 7.0, -5.0 / 7.0
+    a, neg_b, outer, knee, one = (np.array(x) for x in (a_p, -b_p, m1, 0.5 * (m0 - m1), 1.0))
+    add, sub, mul, absolute = np.add, np.subtract, np.multiply, np.absolute
 
     def f(x: np.ndarray) -> np.ndarray:
         u, v, w = x[..., 0], x[..., 1], x[..., 2]
-        phi = m1 * u + 0.5 * (m0 - m1) * (np.abs(u + 1) - np.abs(u - 1))
         out = np.empty(x.shape)
-        out[..., 0] = a_p * (v - u - phi)
-        out[..., 1] = u - v + w
-        out[..., 2] = -b_p * v
+        o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+        # o2 holds the temporaries until -b*v, which needs v alone
+        add(u, one, o2)
+        absolute(o2, o2)
+        sub(u, one, o1)
+        absolute(o1, o1)
+        sub(o2, o1, o2)
+        mul(knee, o2, o2)
+        mul(outer, u, o0)
+        add(o0, o2, o0)  # phi
+        sub(v, u, o2)
+        sub(o2, o0, o0)
+        mul(a, o0, o0)
+        sub(u, v, o1)
+        add(o1, w, o1)
+        mul(neg_b, v, o2)
         return out
 
     def mu2(slope: float) -> float:
@@ -235,70 +262,88 @@ def _rk4_stages(g: Graph, pin_idx: np.ndarray, dyn: NodeDynamics, cfg: SimConfig
 
     z holds the node states with the reference as row n, and d the
     pinned gains, fixed at c * d under the linear controller. Every
-    stage is written with ``out=`` into buffers allocated here once, in
-    the element order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 +
-    2*k2) + 2*k3) + k4)``, so a step gives the floats of the plain
-    expressions.
+    stage is written into buffers allocated here once, in the element
+    order of ``w + dt/2 * k`` and ``w + dt/6 * (((k1 + 2*k2) + 2*k3) +
+    k4)``, so a step gives the floats of the plain expressions.
+
+    Each stage is bound here to its state and rate arrays, calls ``f``
+    once and makes 8 more NumPy calls, 10 under the adaptive controller.
+    One gather takes every pinned entry, the reference entry beside it
+    and the pin's gain, so the errors and pushes d_i * e_i are 1-D
+    products; the pushes go by ``put`` into a vector that is +0.0 off
+    the pins, and as k - 0.0 is k, signed zeros and NaNs included, one
+    subtraction gives the fancy-indexed ``k[pins] -= push``. The scalars
+    are 0-d float64 arrays, the bits of the Python floats at a cheaper
+    ufunc call, and one call each gives ``[dt/2 * k2, 2 * k2]`` and
+    ``[dt * k3, 2 * k3]``, so 11 calls join the stages. The third
+    positional argument of a ufunc is its ``out``.
     """
     n, dim = g.n, dyn.dim
     nz = (n + 1) * dim
-    lap, f, c, h = g.laplacian, dyn.f, cfg.c, cfg.h
-    dt = cfg.dt
-    half, sixth = 0.5 * dt, dt / 6.0
+    lap, f = g.laplacian, dyn.f
+    c, h, half, sixth = (np.array(x) for x in (cfg.c, cfg.h, 0.5 * cfg.dt, cfg.dt / 6.0))
+    half_two, dt_two = np.array([[0.5 * cfg.dt], [2.0]]), np.array([[cfg.dt], [2.0]])
     adaptive = cfg.controller == "adaptive"
+    l = len(pin_idx)
     pin_flat = (pin_idx[:, None] * dim + np.arange(dim)).ravel()
+    # each pinned entry, the reference entry beside it and the pin's gain
+    gather = np.concatenate((pin_flat, nz - dim + np.tile(np.arange(dim), l),
+                             nz + np.repeat(np.arange(l), dim)))
+    add, sub, mul, matmul, einsum = np.add, np.subtract, np.multiply, np.matmul, np.einsum
 
     k1, k2, k3, k4, u, acc = np.zeros((6, len(w)))
-    err = np.empty((len(pin_idx), dim))
+    k2s, k3s = np.empty((2, 2, len(w)))  # [dt/2 * k2, 2 * k2] and [dt * k3, 2 * k3]
+    got = np.empty((3, l * dim))
+    got_flat = got.reshape(-1)
+    pinned, ref_at, gain_at = got
+    err = np.empty((l, dim))
     err_flat = err.reshape(-1)
-    push = np.empty_like(err)
-    push_flat = push.reshape(-1)
+    push = np.zeros(nz)  # d_i * e_i on the pinned entries, +0.0 elsewhere
     cpl = np.zeros((n + 1, dim))  # c * L z on the node rows; row n stays zero
     cpl_nodes = cpl[:n]
 
-    def state(v):
+    def rhs(v: np.ndarray, k: np.ndarray) -> Callable[[], None]:
+        """The stage k = rhs(v), bound to the two arrays."""
         zs = v[:nz].reshape(n + 1, dim)
-        return v, zs, zs[:n], zs[n], v[nz:, None]
+        nodes, take = zs[:n], v.take
+        kz_flat, kd = k[:nz], k[nz:]
+        kz = kz_flat.reshape(n + 1, dim)
 
-    def rate(k):
-        return k, k[:nz].reshape(n + 1, dim), k[nz:]
+        def stage():
+            take(gather, out=got_flat, mode="clip")  # "raise" would buffer out
+            sub(pinned, ref_at, err_flat)
+            matmul(lap, nodes, cpl_nodes)
+            mul(c, cpl_nodes, cpl_nodes)
+            sub(f(zs), cpl, kz)
+            mul(gain_at, err_flat, pinned)  # the pushes, over the gathered entries
+            push.put(pin_flat, pinned)
+            sub(kz_flat, push, kz_flat)
+            if adaptive:  # fixed gains keep their zero rates
+                einsum("ij,ij->i", err, err, out=kd)
+                mul(h, kd, kd)
 
-    def rhs(src, dst):
-        v, zs, nodes, ref, dcol = src
-        k, kz, kd = dst
-        np.take(v, pin_flat, out=err_flat, mode="clip")  # "raise" would buffer out
-        np.subtract(err, ref, out=err)
-        np.matmul(lap, nodes, out=cpl_nodes)
-        np.multiply(c, cpl_nodes, out=cpl_nodes)
-        np.subtract(f(zs), cpl, out=kz)
-        np.multiply(dcol, err, out=push)
-        # pins are distinct, so subtract.at equals the fancy-indexed -=
-        np.subtract.at(k, pin_flat, push_flat)
-        if adaptive:  # fixed gains keep their zero rates
-            np.einsum("ij,ij->i", err, err, out=kd)
-            np.multiply(h, kd, out=kd)
+        return stage
 
-    at_w, at_u = state(w), state(u)
-    r1, r2, r3, r4 = rate(k1), rate(k2), rate(k3), rate(k4)
+    stage1, stage2, stage3, stage4 = rhs(w, k1), rhs(u, k2), rhs(u, k3), rhs(u, k4)
+    half_k2, two_k2 = k2s
+    dt_k3, two_k3 = k3s
 
     def step():
-        rhs(at_w, r1)
-        np.multiply(half, k1, out=u)
-        np.add(w, u, out=u)
-        rhs(at_u, r2)
-        np.multiply(half, k2, out=u)
-        np.add(w, u, out=u)
-        rhs(at_u, r3)
-        np.multiply(dt, k3, out=u)
-        np.add(w, u, out=u)
-        rhs(at_u, r4)
-        np.multiply(2.0, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2.0, k3, out=u)
-        np.add(acc, u, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(sixth, acc, out=acc)
-        np.add(w, acc, out=w)
+        stage1()
+        mul(half, k1, u)
+        add(w, u, u)
+        stage2()
+        mul(half_two, k2, k2s)
+        add(w, half_k2, u)
+        stage3()
+        mul(dt_two, k3, k3s)
+        add(w, dt_k3, u)
+        stage4()
+        add(k1, two_k2, acc)
+        add(acc, two_k3, acc)
+        add(acc, k4, acc)
+        mul(sixth, acc, acc)
+        add(w, acc, w)
 
     return step
 

@@ -247,6 +247,26 @@ def test_sweep_computes_betweenness_once_per_graph(tmp_path, monkeypatch, capsys
     assert swept.splitlines() == singles[0][:1] + [lines[1] for lines in singles]
 
 
+def test_sweep_runs_each_greedy_round_once_per_graph(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ba.txt"
+    path.write_text(format_edge_list(generators.gen_ba(200, 3, 2, 1)))
+    argv = ["sweep", str(path), "--strategy", "greedy", "--l-range"]
+    rounds = []
+    real = pinopt.strategies._pruned_argmax
+    monkeypatch.setattr(pinopt.strategies, "_pruned_argmax",
+                        lambda g, pins, *args: rounds.append(pins.shape[1]) or real(g, pins, *args))
+    assert main(argv + ["1:8"]) == 0
+    assert rounds == list(range(1, 9))
+    swept = capsys.readouterr().out
+    # one command per l, each running its rounds afresh on its own graph, gives the same CSV
+    singles = []
+    for l in range(1, 9):
+        assert main(argv + [str(l)]) == 0
+        singles.append(capsys.readouterr().out.splitlines())
+    assert len(rounds) == 8 + sum(range(1, 9))
+    assert swept.splitlines() == singles[0][:1] + [lines[1] for lines in singles]
+
+
 def test_sweep_usage_errors(double_star_file):
     assert run_cli("sweep", str(double_star_file), "--strategy", "degree_mix",
                    "--l-range", "1:5").returncode == 1  # missing --q

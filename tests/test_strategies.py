@@ -457,6 +457,30 @@ def test_pruned_greedy_equals_unpruned_greedy():
             assert (res.pin_set, res.lambda1) == _plain_greedy(g, l), (g, l)
 
 
+def test_greedy_reads_smaller_sets_from_the_kept_rounds(monkeypatch):
+    # l descending: the first call runs every round and the rest run none
+    rounds = []
+    real = pinopt.strategies._pruned_argmax
+    monkeypatch.setattr(pinopt.strategies, "_pruned_argmax",
+                        lambda g, pins, *args: rounds.append(1) or real(g, pins, *args))
+    for g in _search_graphs()[::3]:
+        rounds.clear()
+        for l in range(g.n - 1, 0, -1):
+            res = greedy_max_lambda1(g, l)
+            assert (res.pin_set, res.lambda1) == _plain_greedy(g, l), (g, l)
+        assert len(rounds) == g.n - 1
+
+
+def test_greedy_keeps_no_graph_alive():
+    g = gen_ba(30, 3, 2, 31)
+    first = greedy_max_lambda1(g, 3)
+    assert greedy_max_lambda1(g, 3) == first
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
 def test_pruned_greedy_equals_unpruned_greedy_on_split_graphs():
     # several components and isolated nodes: a round's lambda1 can be 0, and
     # the next round's inverse iteration is shifted below it

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -195,6 +196,74 @@ def test_chua_one_sided_growth_certificate():
     assert np.all(lhs <= rhs + 1e-9)
     assert dyn.alpha > dyn.alpha_min
     assert dyn.dim == 3 and dyn.default_s0.shape == (3,)
+
+
+def _chua_literal(x):
+    """Chua's field as its literal expressions, one fresh array per operation."""
+    a, b, m0, m1 = 9.0, 100.0 / 7.0, -8.0 / 7.0, -5.0 / 7.0
+    u, v, w = x[..., 0], x[..., 1], x[..., 2]
+    phi = m1 * u + 0.5 * (m0 - m1) * (np.abs(u + 1) - np.abs(u - 1))
+    return np.stack([a * (v - u - phi), u - v + w, -b * v], axis=-1)
+
+
+def test_chua_field_equals_its_literal_expressions_bit_for_bit():
+    f = chua().f
+    rng = np.random.default_rng(57)
+    signs = rng.choice([-1.0, 1.0], size=(6000, 3))
+    spread = signs * 10.0 ** rng.uniform(-8.0, 8.0, size=(6000, 3))
+    # u near the diode's knees at +-1, where |u + 1| - |u - 1| changes form
+    knees = rng.choice([-1.0, 1.0], size=(2000, 3)) + rng.normal(scale=1e-9, size=(2000, 3))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 2.5, 5e-324]
+    special = np.array(list(itertools.product(specials, repeat=3)))
+    # a column view inside a wider array, as the stacked state hands f its rows
+    wide = rng.normal(size=(50, 7))[:, 2:5]
+    cases = [spread, knees, special, wide, spread.reshape(20, 30, 10, 3), knees.reshape(4, 500, 3),
+             special[:8].reshape(2, 2, 2, 3), spread[0]]
+    seen = {"-0.0 out": 0, "nan out": 0}
+    for x in cases:
+        before = x.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = f(x), _chua_literal(x)
+        assert got.shape == want.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(x, before, equal_nan=True)
+        seen["-0.0 out"] += int(np.sum((got == 0) & np.signbit(got)))
+        seen["nan out"] += int(np.sum(np.isnan(got)))
+    assert min(seen.values()) > 0, seen
+
+
+def test_chua_field_returns_a_fresh_array_each_call():
+    f = chua().f
+    x = np.random.default_rng(58).normal(size=(9, 3))
+    first, second = f(x), f(x)
+    assert np.array_equal(first, second)
+    for out in (first, second):
+        assert not np.shares_memory(out, x)
+    assert not np.shares_memory(first, second)
+    second += 1.0
+    assert np.array_equal(first, f(x))
+
+
+def test_a_stage_by_stage_run_calls_f_once_per_stage():
+    # wrapped as a tracer wraps it, by dataclasses.replace: 4 calls per RK4 step
+    calls = []
+    dyn = chua()
+    field = dyn.f
+
+    def counted(x):
+        calls.append(x.shape)
+        return field(x)
+
+    dyn = dataclasses.replace(dyn, f=counted)
+    g = gen_path(6)
+    for controller in ("adaptive", "linear"):
+        calls.clear()
+        cfg = SimConfig(controller=controller, c=4.0, h=3.0, d=2.0, dt=1e-3, t_end=0.25, seed=4,
+                        record_every=7)
+        res = simulate(g, [0, 4], dyn, cfg)
+        assert res.blowup_time is None
+        assert len(calls) == 4 * 250
+        assert set(calls) == {(7, 3)}
 
 
 def test_chua_trajectory_stays_bounded_briefly():
