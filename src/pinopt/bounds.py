@@ -28,7 +28,7 @@ the candidate's grounded matrix give a Ritz vector whose Rayleigh
 quotient is still an upper bound, and usually far closer to lambda1,
 the closer the deeper the Krylov space (Kaniel-Paige-Saad; Saad,
 Numerical Methods for Large Eigenvalue Problems, SIAM 2011, ch. 6).
-Each product with the grounded matrices of a chunk of candidates is one
+Each product with the grounded matrices of a block of candidates is one
 product of the graph's kept dense Laplacian with an (n, k) block of
 vectors, the pinned entries then zeroed. The quotient is recomputed
 from that vector and raised by a rounding slack of 4 n eps max(1, 2
@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, check_l, ground, pin_set
+from .graphs import Graph, block_rows, check_l, ground, pin_set
 from .spectra import eig_sym
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "boundary_bounds",
     "pin_set_ceilings",
     "ritz_ceilings",
+    "ritz_block_rows",
     "bottom_vector",
     "after_pin_ceilings",
     "upper_single_pin",
@@ -92,10 +93,6 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
     return float(w.min()), float(w.mean())
 
 
-# bytes of the temporaries pin_set_ceilings holds for one chunk of rows, about
-_CEILING_CHUNK_BYTES = 1 << 20
-
-
 def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1:
     min(min uncontrolled degree, cut(S) / (n - l)).
@@ -103,7 +100,8 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     cut(S), the number of edges leaving S, is the sum of the degrees in S
     less twice the edges inside S, an exact integer; the min uncontrolled
     degree is that of the first of the l+1 lowest-degree nodes not in S.
-    Rows are taken in chunks, so no k x n array is formed.
+    Rows are taken in blocks of about ``graphs.BLOCK_BYTES`` of
+    temporaries, so no k x n array is formed.
     """
     k, l = pins.shape
     check_l(g, l)
@@ -115,7 +113,7 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
     inside = g.laplacian.ravel()
     first, second = np.triu_indices(l, 1)
     out = np.empty(k)
-    step = max(1, _CEILING_CHUNK_BYTES // (8 * l * (l + 1)))
+    step = block_rows(8 * l * (l + 1))
     for start in range(0, k, step):
         s = pins[start:start + step].astype(np.intp)
         # the Laplacian is -1 on each edge inside S
@@ -128,9 +126,14 @@ def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
 
 # the Krylov dimension of the searches' Ritz ceilings
 RITZ_DEPTH = 4
-# bytes of the temporaries ritz_ceilings holds for one chunk of rows, at most
-RITZ_CHUNK_BYTES = 512 * 1024
 _EPS = float(np.finfo(float).eps)
+
+
+def ritz_block_rows(g: Graph, l: int) -> int:
+    """The rows of l pins that ``ritz_ceilings`` takes per block: their
+    temporaries, d + 5 n-vectors per row with the product's output, hold
+    about ``graphs.BLOCK_BYTES``."""
+    return block_rows(8 * g.n * (min(RITZ_DEPTH, g.n - l) + 5))
 
 
 def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -141,7 +144,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -
     cut(S) / (n - l), in either case with the row's pins zeroed.
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
-    where keep zeroes the row's pins and L is ``g.laplacian``; a chunk of
+    where keep zeroes the row's pins and L is ``g.laplacian``; a block of
     rows takes one product of L with its (n, k) block per step. From x,
     the start with the row's pins zeroed, Lanczos builds a basis of the
     Krylov space {x, Mx, ..., M^(d-1) x}, d = min(RITZ_DEPTH, n - l), as
@@ -153,8 +156,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -
     for its rounding, so the bound holds however inexact the basis is, in
     any summation order; a quotient that is not finite, as from a start
     that is zero on the row's uncontrolled nodes, becomes +inf. Rows are
-    taken in chunks whose temporaries, d + 5 n-vectors per row with the
-    product's output, stay within about RITZ_CHUNK_BYTES.
+    taken in blocks of ``ritz_block_rows``.
     """
     n, d = g.n, min(RITZ_DEPTH, g.n - pins.shape[1])
     lap = g.laplacian
@@ -170,7 +172,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -
     # vectors are (n, k): a column per pin set
     x0 = np.ones((n, 1)) if start is None else start[:, None]
     out = np.empty(len(pins))
-    step = max(1, RITZ_CHUNK_BYTES // (8 * n * (d + 5)))
+    step = ritz_block_rows(g, pins.shape[1])
     diag = np.arange(d)
     for lo in range(0, len(pins), step):
         s = pins[lo:lo + step]

@@ -1,9 +1,9 @@
 """Command-line front end: gen, analyze, select, sweep, simulate.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or
-malformed input file, or an output file that cannot be written), 3
-budget refusal (exhaustive search too large, or a simulation over its
-step cap).
+Exit codes: 0 success, 1 usage error (a bad flag, or a value the
+library refuses with ValueError), 2 data error (missing or malformed
+input file, or an output file that cannot be written), 3 budget refusal
+(exhaustive search too large, or a simulation over its step cap).
 All output is deterministic for a fixed seed: repeated invocations are
 byte-identical.
 """
@@ -94,10 +94,7 @@ def _parse_pins(args, g: Graph) -> tuple[int, ...]:
             ids = [int(t) for line in text.split("\n") for t in line.split("#", 1)[0].split()]
         except ValueError:
             raise DataError(f"{args.pins_file}: pin ids must be integers") from None
-    try:
-        return pin_set(g, ids)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return pin_set(g, ids)
 
 
 def _write_file(path: str, text: str) -> None:
@@ -183,7 +180,7 @@ def cmd_gen(args) -> int:
     flags = _flag_values(args, "gen", GEN_FLAGS, fam)
     try:
         g = getattr(gen_mod, f"gen_{fam}")(**flags)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"gen {fam}: {exc}") from None
     _write_out(format_edge_list(g), args.out)
     return 0
@@ -216,11 +213,7 @@ STRATEGIES = {
 def cmd_select(args) -> int:
     g = _read_graph(args.graph)
     flags = _flag_values(args, "select", STRATEGIES, args.strategy)
-    try:
-        res = STRATEGIES[args.strategy][2](g, **flags)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _json_line(asdict(res))
+    _json_line(asdict(STRATEGIES[args.strategy][2](g, **flags)))
     return 0
 
 
@@ -314,11 +307,8 @@ def cmd_sweep(args) -> int:
     # --budget also bounds the brute column's search
     also = ("budget",) if args.with_brute_force else ()
     flags = _flag_values(args, "sweep", STRATEGIES, args.strategy, also)
-    try:
-        rows = sweep_rows(g, args.strategy, flags.pop("l"), flags.pop("q", None),
-                          with_brute=args.with_brute_force, **flags)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = sweep_rows(g, args.strategy, flags.pop("l"), flags.pop("q", None),
+                      with_brute=args.with_brute_force, **flags)
     cols = SWEEP_COLUMNS + (["lambda1_brute"] if args.with_brute_force else [])
     _write_out(_csv(cols, ([row[col] for col in cols] for row in rows)), args.out)
     return 0
@@ -345,10 +335,7 @@ def cmd_simulate(args) -> int:
     pins = _parse_pins(args, g)
     dyn = DYNAMICS[args.dynamics][2](**_flag_values(args, "simulate", DYNAMICS, args.dynamics))
     flags = _flag_values(args, "simulate", CONTROLLERS, args.controller)
-    try:
-        cfg = sync_mod.SimConfig(controller=args.controller, c=args.c, seed=args.seed, **flags)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = sync_mod.SimConfig(controller=args.controller, c=args.c, seed=args.seed, **flags)
     res = sync_mod.simulate(g, pins, dyn, cfg)
     if args.out_csv is not None:
         cols = ["t"] + [f"e{i}" for i in range(g.n)]
@@ -430,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The exit code of each error a command may raise.
-EXIT_CODES = {UsageError: 1, DataError: 2, BudgetError: 3}
+# The exit code of each error a command may raise, by the first class that
+# matches; a ValueError is a value the library refuses.
+EXIT_CODES = {UsageError: 1, DataError: 2, BudgetError: 3, ValueError: 1}
 
 
 def main(argv: list[str] | None = None) -> int:

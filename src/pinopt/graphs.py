@@ -61,6 +61,8 @@ __all__ = [
     "connected_components",
     "parse_edge_list",
     "MAX_NODES",
+    "BLOCK_BYTES",
+    "block_rows",
     "format_edge_list",
 ]
 
@@ -345,6 +347,16 @@ def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list[l
 # largest node count parse_edge_list accepts: the dense Laplacian of a
 # graph this size already takes 800 MB, and its eigensolve as much again
 MAX_NODES = 10_000
+# bytes of scratch memory one block of a blocked loop may hold, about: the
+# pin-set ceilings, Ritz ceilings, stacked eigensolves, betweenness sources
+# and blowup scans all size their blocks by it, through block_rows
+BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(row_bytes: int) -> int:
+    """The rows of `row_bytes` bytes each that one block holds: as many as
+    fit in BLOCK_BYTES, read at each call, and at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 # The canonical text, as format_edge_list writes it: the node count, then
 # one "u v" line per edge, ASCII digits, every line ended by "\n". An id

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import after_pin_ceilings, bottom_vector, pin_set_ceilings, ritz_ceilings
+from .bounds import after_pin_ceilings, bottom_vector, pin_set_ceilings, ritz_block_rows, ritz_ceilings
 # BudgetError stays importable from here, where the searches raise it
-from .graphs import BudgetError, Graph, check_l, connected_components, ground
+from .graphs import BudgetError, Graph, block_rows, check_l, connected_components, ground
 
 __all__ = [
     "StrategyConfig",
@@ -33,14 +33,6 @@ __all__ = [
 BRUTE_FORCE_BUDGET = 2_000_000
 # lambda1 values within this of the max tie; the searches break ties by order
 TIE_TOL = 1e-9
-# bytes of grounded matrices stacked into one eigensolve, at most
-BATCH_BYTES = 128 * 1024
-# rows given Ritz ceilings per step of the pruned search's walk down the
-# first-tier ceilings: the first step's count, and the most any step takes
-LAZY_ROWS = (128, 4096)
-# betweenness runs its sources in chunks whose per-node arrays and per-level
-# edge arrays hold about this many entries (more if one source alone needs it)
-CHUNK_ENTRIES = 1 << 15
 
 _betweenness: weakref.WeakKeyDictionary[Graph, np.ndarray] = weakref.WeakKeyDictionary()
 # each graph's greedy picks and round lambda1s so far, in round order
@@ -124,18 +116,18 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
     pair contributes once). Disconnected graphs are fine; pairs in
     different components contribute nothing.
 
-    The searches run level by level over a chunk of sources at once,
-    with the chunk sized so that the per-node arrays and one level's
-    edge arrays hold about CHUNK_ENTRIES entries. Each float sum keeps
-    the order of the one-source-at-a-time loop, so the result is the
-    same to the bit: `sigma[w]` adds its predecessors in BFS-queue
-    order, `delta[v]` adds its successors in reverse queue order, and
-    `bc` adds the sources in id order.
+    The searches run level by level over a block of sources at once,
+    sized so that its per-node arrays and one level's edge arrays hold
+    about ``graphs.BLOCK_BYTES`` (more if one source alone needs it).
+    Each float sum keeps the order of the one-source-at-a-time loop, so
+    the result is the same to the bit: `sigma[w]` adds its predecessors
+    in BFS-queue order, `delta[v]` adds its successors in reverse queue
+    order, and `bc` adds the sources in id order.
     """
     n = g.n
     indptr, indices = g.csr
     deg = g.degrees
-    chunk = max(1, CHUNK_ENTRIES // max(n, len(indices)))
+    chunk = block_rows(8 * max(n, len(indices)))
     bc = np.zeros(n)
     for lo in range(0, n, chunk):
         sources = np.arange(lo, min(n, lo + chunk))
@@ -277,13 +269,13 @@ def _pruned_argmax(
     ceiling and is neither solved nor dropped. The search repeats:
     - If some open row's ceiling reaches the next first-tier ceiling, it
       solves the highest open rows ahead of that next ceiling in a stacked
-      batch of 1, 2, 4, ... matrices, up to BATCH_BYTES.
+      batch of 1, 2, 4, ... matrices, as many as fit in ``graphs.BLOCK_BYTES``.
     - Otherwise it walks on down the first-tier ceilings (row order
-      within equal ones): at most LAZY_ROWS[0] rows at the first step and
-      twice as many at each next one, up to LAZY_ROWS[1], and only rows
-      above every open ceiling and above best - TIE_TOL. Those get Ritz
-      ceilings (``bounds.ritz_ceilings``) from `start`, all ones if None,
-      and become open.
+      within equal ones): at most one Ritz block of rows
+      (``bounds.ritz_block_rows``) at the first step and twice as many at
+      each next one, and only rows above every open ceiling and above
+      best - TIE_TOL. Those get Ritz ceilings (``bounds.ritz_ceilings``)
+      from `start`, all ones if None, and become open.
     An open row whose ceiling falls below best - TIE_TOL is dropped. The
     search ends when no row is open and the next first-tier ceiling is
     below best - TIE_TOL: no row left can then come within TIE_TOL of the
@@ -295,13 +287,14 @@ def _pruned_argmax(
     if tighter is not None:
         ceilings = np.minimum(ceilings, tighter)
     order = np.argsort(-ceilings, kind="stable")
-    cap = max(1, BATCH_BYTES // (8 * (g.n - l) ** 2))
-    # the rows solved so far within TIE_TOL of best, and their lambda1
-    near, near_vals = order[:1], g.grounded_lambda1s(pins[order[:1]])
-    best = float(near_vals[0])
+    cap = block_rows(8 * (g.n - l) ** 2)
+    # the rows solved so far that were within TIE_TOL of best when solved,
+    # and their lambda1; as best only grows, no other row can win
+    solved, vals = order[:1].tolist(), g.grounded_lambda1s(pins[order[:1]]).tolist()
+    best = vals[0]
     # the open rows in descending order of ceiling
     rows, tight = np.empty(0, np.intp), np.empty(0)
-    pos, step, batch = 1, LAZY_ROWS[0], 1
+    pos, step, batch = 1, ritz_block_rows(g, l), 1
     while True:
         floor = best - TIE_TOL
         live = np.count_nonzero(tight >= floor)
@@ -309,25 +302,25 @@ def _pruned_argmax(
         nxt = ceilings[order[pos]] if pos < k else -np.inf
         if live and tight[0] >= nxt:
             take = min(batch, np.count_nonzero(tight >= nxt))
-            vals = g.grounded_lambda1s(pins[rows[:take]])
-            best = max(best, float(vals.max()))
-            near, near_vals = np.concatenate((near, rows[:take])), np.concatenate((near_vals, vals))
-            tied = near_vals >= best - TIE_TOL
-            near, near_vals = near[tied], near_vals[tied]
+            got = g.grounded_lambda1s(pins[rows[:take]])
+            best = max(best, float(got.max()))
+            near = got >= best - TIE_TOL
+            solved += rows[:take][near].tolist()
+            vals += got[near].tolist()
             rows, tight = rows[take:], tight[take:]
             batch = min(2 * batch, cap)
         elif nxt >= floor:
             new = order[pos:pos + step]
             new = new[ceilings[new] >= (tight[0] if live else floor)]
-            pos, step = pos + len(new), min(2 * step, LAZY_ROWS[1])
+            pos, step = pos + len(new), 2 * step
             ritz = np.minimum(ceilings[new], ritz_ceilings(g, pins[new], start=start))
             rows, tight = np.concatenate((rows, new)), np.concatenate((tight, ritz))
             rank = np.argsort(-tight, kind="stable")
             rows, tight = rows[rank], tight[rank]
         else:
             break
-    win = np.argmin(near)
-    return int(near[win]), float(near_vals[win])
+    # rows are distinct, so the smallest pair is the smallest row in the window
+    return min((row, val) for row, val in zip(solved, vals) if val >= best - TIE_TOL)
 
 
 def brute_force_max_lambda1(

@@ -30,9 +30,9 @@ expressions. Both controllers push ``d_i * e_i`` into the
 pinned nodes: the linear controller's gains start at ``c * d`` and keep
 it, as only the adaptive controller writes gain rates. Every run tests
 for blowup once per block of steps up to the next record point (at most
-``SCAN_BYTES`` of node magnitudes) and takes the step from the first
-failing row, so every output is that of a test after each step, though
-a run that blows up steps on to the end of its block.
+``graphs.BLOCK_BYTES`` of node magnitudes) and takes the step from the
+first failing row, so every output is that of a test after each step,
+though a run that blows up steps on to the end of its block.
 
 ``SimConfig`` refuses a non-finite ``c``, ``h``, ``d``, ``dt`` or
 ``t_end``, a non-positive ``c``, ``dt`` or ``t_end``, and ``dt > t_end``
@@ -49,7 +49,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import BudgetError, Graph, ground, pin_set
+from .graphs import BudgetError, Graph, block_rows, ground, pin_set
 from .spectra import eig_sym
 
 __all__ = [
@@ -67,8 +67,6 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 # longest run simulate accepts, in RK4 steps round(t_end / dt)
 MAX_RK4_STEPS = 2_000_000
-# largest block of per-step node magnitudes simulate keeps between blowup scans
-SCAN_BYTES = 64 * 1024
 # a run has converged when its largest final per-node error norm is below this
 TOL_SYNC = 1e-6
 
@@ -404,7 +402,7 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
 
     # |node state| of each step up to the next record point, scanned once per block
     every = cfg.record_every
-    block = np.empty((max(1, min(steps, every, SCAN_BYTES // (8 * n * dim))), n * dim))
+    block = np.empty((min(steps, every, block_rows(8 * n * dim)), n * dim))
     nodes = w[: n * dim]
     record(0)
     blowup_time: float | None = None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pinopt.bounds
+import pinopt.graphs
 from conftest import rand_connected, rand_pins
 from pinopt.bounds import (
     after_pin_ceilings,
@@ -121,9 +122,9 @@ def _ritz_cases():
                 yield g, np.column_stack([np.tile(current, (len(free), 1)), free])
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 1 << 20], ids=["one_row", "all_rows"])
-def test_ritz_ceilings_bound_lambda1(monkeypatch, chunk_bytes):
-    monkeypatch.setattr(pinopt.bounds, "RITZ_CHUNK_BYTES", chunk_bytes)
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40], ids=["one_row", "all_rows"])
+def test_ritz_ceilings_bound_lambda1(monkeypatch, block_bytes):
+    monkeypatch.setattr(pinopt.graphs, "BLOCK_BYTES", block_bytes)
     cases = 0
     for g, rows in _ritz_cases():
         got = ritz_ceilings(g, rows)

@@ -462,6 +462,21 @@ def test_main_in_process_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_value_error_on_any_path_exits_1(double_star_file, monkeypatch, capsys, command):
+    # neither command wraps its library call; main maps the ValueError to 1
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(pinopt.bounds, "bound_report", refuse)
+    monkeypatch.setattr(pinopt.sync, "simulate", refuse)
+    argv = [command, str(double_star_file), "--pins", "0"]
+    if command == "simulate":
+        argv += ["--dynamics", "chua", "--controller", "linear", "--c", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: refused\n")
+
+
 def test_node_count_over_the_limit_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("100000000\n0 1\n")

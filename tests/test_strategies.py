@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pinopt
+import pinopt.graphs
 import pinopt.strategies
 from conftest import betweenness_by_enumeration, neighbours, rand_connected
 from test_acceptance import _suite
@@ -172,9 +173,9 @@ def betweenness_cases():
     return [(g, _betweenness_list_loop(g)) for g in graphs]
 
 
-@pytest.mark.parametrize("chunk_entries", [1, 1 << 40], ids=["one_source", "all_sources"])
-def test_betweenness_equals_the_list_loop_exactly(betweenness_cases, chunk_entries, monkeypatch):
-    monkeypatch.setattr(pinopt.strategies, "CHUNK_ENTRIES", chunk_entries)
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40], ids=["one_source", "all_sources"])
+def test_betweenness_equals_the_list_loop_exactly(betweenness_cases, block_bytes, monkeypatch):
+    monkeypatch.setattr(pinopt.graphs, "BLOCK_BYTES", block_bytes)
     for g, expect in betweenness_cases:
         assert np.array_equal(betweenness_centrality(g), expect), (g.n, g.m)
 
@@ -519,15 +520,14 @@ def test_pruned_greedy_equals_unpruned_greedy_at_deck_size():
         assert (res.pin_set, res.lambda1) == _plain_greedy(g, 3), n
 
 
-@pytest.mark.parametrize("lazy_rows", [(1, 1), (2, 1 << 30), None, (1 << 30, 1 << 30)],
-                         ids=["one_row", "doubling", "default", "all_rows"])
-def test_pruned_searches_equal_plain_enumeration_where_ceilings_tie(monkeypatch, lazy_rows):
+@pytest.mark.parametrize("block_bytes", [1, None, 1 << 40], ids=["one_row", "default", "all_rows"])
+def test_pruned_searches_equal_plain_enumeration_where_ceilings_tie(monkeypatch, block_bytes):
     # on a ring lattice, a complete graph and a grid the closed-form ceilings
-    # of many sets tie and do not separate them; walking one row at a time
-    # checks the stop rule at every chunk boundary, all rows at once checks
-    # a single chunk
-    if lazy_rows is not None:
-        monkeypatch.setattr(pinopt.strategies, "LAZY_ROWS", lazy_rows)
+    # of many sets tie and do not separate them; blocks of one row walk 1, 2,
+    # 4, ... rows and solve one matrix at a time, checking the stop rule at
+    # many step boundaries, and one block of every row checks a single step
+    if block_bytes is not None:
+        monkeypatch.setattr(pinopt.graphs, "BLOCK_BYTES", block_bytes)
     ring = gen_nw(24, 4, 0.0, 0)
     for g, l in [(ring, 2), (ring, 3), (gen_complete(9), 3), (_grid(5), 2)]:
         res = brute_force_max_lambda1(g, l)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_connected, rand_pins
+from pinopt import graphs
 from pinopt.cli import main
 from pinopt.generators import gen_complete, gen_path, gen_star
 from pinopt.graphs import format_edge_list, ground, laplacian, pin_set
 from pinopt.spectra import lambda1
 from pinopt.sync import (
     BLOWUP_LIMIT,
-    SCAN_BYTES,
     TOL_SYNC,
     SimConfig,
     SimResult,
@@ -455,4 +455,4 @@ def test_blowup_scan_block_does_not_grow_with_record_every():
     finally:
         tracemalloc.stop()
     assert res.times.tolist() == [0.0, pytest.approx(200.0)] and res.converged
-    assert peak < 2 * SCAN_BYTES, peak
+    assert peak < 2 * graphs.BLOCK_BYTES, peak
