@@ -2,25 +2,26 @@
 """Digest the exit code and stdout of every benchmark deck command, and
 of a fixed group of commands the decks never run.
 
-    python3 scripts/deck_digest.py --seed 1 > digests-seed1.txt
+    python3 scripts/deck_digest.py --seed 1 [--src DIR] > digests-seed1.txt
 
 Builds the full deck of each of the four workloads in
 ``perfbench/workloads.py`` at the seed, writing its input files to a
 temporary directory, and runs every command once in-process through
-``pinopt.cli.main`` from this checkout's ``src/``, with one BLAS thread
-as the benchmark uses. It prints one line per command, ``<workload>
-<index> <sha256 of the exit code and stdout>``, so two checkouts give
-the same lines exactly when every command exits and prints alike. Each
-``simulate`` command also writes its ``--out-csv`` series to a
-temporary file, and its line ends in ``csv <sha256 of that file>``, so
-the recorded error norms and adaptive gains are compared too, not just
-the final error.
+``pinopt.cli.main``, with pinopt imported from DIR (default: this
+checkout's ``src/``) and one BLAS thread as the benchmark uses. It
+prints one line per command, ``<workload> <index> <sha256 of the exit
+code and stdout>``, so two trees give the same lines exactly when every
+command exits and prints alike. Each ``simulate`` command also writes
+its ``--out-csv`` series to a temporary file, and its line ends in
+``csv <sha256 of that file>``, so the recorded error norms and adaptive
+gains are compared too, not just the final error.
 
 Then it runs the ``offdeck`` group, the same at every seed (see
 ``OFFDECK``): CLI paths no deck takes, such as sweeps of every
 strategy, dominating selection, tie-heavy searches, degenerate graphs
 and refusals. Its lines read ``offdeck <index> <sha256>``, as above.
-It writes nothing under ``perfbench/``.
+It writes nothing under ``perfbench/``. One copy of the script digests
+either of two trees through ``--src``, so both run the same commands.
 """
 
 from __future__ import annotations
@@ -41,14 +42,15 @@ import io  # noqa: E402
 import tempfile  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from pinopt import cli  # noqa: E402
 
 
 def run(argv) -> tuple[str, str]:
     """The exit code (or the exception raised) and the stdout of one command."""
+    from pinopt import cli  # from --src, put on the path once the arguments are parsed
+
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -98,6 +100,10 @@ OFFDECK = [
     "sweep {ba60} --strategy betweenness --l-range 1:12",
     "sweep {ba300} --strategy betweenness --l-range 1:40:3",
     "sweep {split} --strategy betweenness --l-range 1:8",
+    # greedy where an isolated node makes the closed-form ceiling 0 in the
+    # first round, far below the all-ones start's quotient
+    "sweep {split} --strategy greedy --l-range 1:8",
+    "select {edgeless} --strategy greedy --l 2",
     "sweep {ba60} --strategy greedy --l-range 1:5",
     "sweep {ba300} --strategy greedy --l-range 1:6",
     "sweep {er30} --strategy brute_force --l-range 1:3",
@@ -162,7 +168,9 @@ def offdeck(workdir: str):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding pinopt")
     args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
     with tempfile.TemporaryDirectory() as workdir:
         csv = os.path.join(workdir, "series.csv")
         groups = [(w, [cmd.argv for cmd in workloads.build(w, args.seed, "full", os.path.join(workdir, w))])

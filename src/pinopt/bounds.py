@@ -23,24 +23,24 @@ pin set of size l, at least each one's lambda1, so it never prunes a
 candidate, and it costs a full eigensolve of the Laplacian.
 
 The second tier, for the candidates the first leaves open, is
-``ritz_ceilings``: from the same all-ones test vector, Lanczos steps on
-the candidate's grounded matrix give a Ritz vector whose Rayleigh
-quotient is still an upper bound, and usually far closer to lambda1,
-the closer the deeper the Krylov space (Kaniel-Paige-Saad; Saad,
-Numerical Methods for Large Eigenvalue Problems, SIAM 2011, ch. 6).
+``ritz_ceilings``: from a start vector, Lanczos steps on the candidate's
+grounded matrix give a Ritz vector whose Rayleigh quotient is still an
+upper bound, and usually far closer to lambda1, the closer the deeper
+the Krylov space (Kaniel-Paige-Saad; Saad, Numerical Methods for Large
+Eigenvalue Problems, SIAM 2011, ch. 6).
 Each product with the grounded matrices of a block of candidates is one
 product of the graph's kept dense Laplacian with an (n, k) block of
 vectors, the pinned entries then zeroed. The quotient is recomputed
 from that vector and raised by a rounding slack of 4 n eps max(1, 2
 dmax), so it stays an upper bound at every depth, however inexact the
-Lanczos basis is. The searches give a candidate a Ritz ceiling only
-while it can still beat the best set found (``strategies._pruned_argmax``).
+Lanczos basis is. A pruned search (``strategies._pruned_argmax``) is
+given its candidates, their first-tier ceilings and its start vector,
+and gives a candidate a Ritz ceiling only while it can beat the best.
 
-Greedy's rounds have a better test vector than the all-ones one: the
-bottom eigenvector of the last round's winner, from one step of inverse
-iteration (``bottom_vector``). With the entry of node v zeroed, its
-Rayleigh quotient bounds the set that adds v (``after_pin_ceilings``),
-and the Ritz ceilings start from it.
+Brute force starts from all ones, as does greedy's first round; each
+later round starts from the last winner's bottom eigenvector, from one
+step of inverse iteration (``bottom_vector``), whose quotient with
+entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 """
 
 from __future__ import annotations
@@ -136,12 +136,11 @@ def ritz_block_rows(g: Graph, l: int) -> int:
     return block_rows(8 * g.n * (min(RITZ_DEPTH, g.n - l) + 5))
 
 
-def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Per row of `pins` (k x l distinct node ids), an upper bound on lambda1
-    of that grounding, tighter than the Rayleigh quotient of its start
-    vector, and tighter the larger RITZ_DEPTH is. The start is `start`, an
-    n-vector, or else the all-ones vector, whose quotient is
-    cut(S) / (n - l), in either case with the row's pins zeroed.
+    of that grounding, tighter than the Rayleigh quotient of `start`, an
+    n-vector, with the row's pins zeroed, and tighter the larger
+    RITZ_DEPTH is. From the all-ones start that quotient is cut(S) / (n - l).
 
     M, the row's grounded matrix, acts in n-space as x -> keep * (L x),
     where keep zeroes the row's pins and L is ``g.laplacian``; a block of
@@ -170,7 +169,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray | None = None) -
         return y
 
     # vectors are (n, k): a column per pin set
-    x0 = np.ones((n, 1)) if start is None else start[:, None]
+    x0 = start[:, None]
     out = np.empty(len(pins))
     step = ritz_block_rows(g, pins.shape[1])
     diag = np.arange(d)

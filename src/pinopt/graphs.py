@@ -259,7 +259,7 @@ def check_l(g: Graph, l: int, budget: int | None = None) -> None:
         raise BudgetError(f"C({g.n}, {l}) = {count} subsets exceeds the budget of {budget}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundedLaplacian:
     """Principal submatrix of the Laplacian after deleting pinned rows/cols.
 

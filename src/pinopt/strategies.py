@@ -257,14 +257,14 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
 
 
 def _pruned_argmax(
-    g: Graph, pins: np.ndarray, tighter: np.ndarray | None = None, start: np.ndarray | None = None
+    g: Graph, pins: np.ndarray, ceilings: np.ndarray, start: np.ndarray
 ) -> tuple[int, float]:
     """The winning row of `pins` (k x l node ids, in the order that breaks
     ties) and its lambda1, solving only the rows the ceilings leave open.
 
-    Every row gets a first-tier ceiling, the closed form
-    ``bounds.pin_set_ceilings`` or `tighter` (k upper bounds) where that
-    is lower, and the row of highest ceiling is solved first; best is the
+    The caller gives every row its first-tier ceiling, `ceilings` (k upper
+    bounds on lambda1), and the start vector of its Ritz ceilings, `start`
+    (an n-vector). The row of highest ceiling is solved first; best is the
     largest lambda1 solved so far, and a row is open once it has a Ritz
     ceiling and is neither solved nor dropped. The search repeats:
     - If some open row's ceiling reaches the next first-tier ceiling, it
@@ -275,7 +275,7 @@ def _pruned_argmax(
       (``bounds.ritz_block_rows``) at the first step and twice as many at
       each next one, and only rows above every open ceiling and above
       best - TIE_TOL. Those get Ritz ceilings (``bounds.ritz_ceilings``)
-      from `start`, all ones if None, and become open.
+      from `start` and become open.
     An open row whose ceiling falls below best - TIE_TOL is dropped. The
     search ends when no row is open and the next first-tier ceiling is
     below best - TIE_TOL: no row left can then come within TIE_TOL of the
@@ -283,9 +283,6 @@ def _pruned_argmax(
     max - TIE_TOL, the same row that solving every row would give.
     """
     k, l = pins.shape
-    ceilings = pin_set_ceilings(g, pins)
-    if tighter is not None:
-        ceilings = np.minimum(ceilings, tighter)
     order = np.argsort(-ceilings, kind="stable")
     cap = block_rows(8 * (g.n - l) ** 2)
     # the rows solved so far that were within TIE_TOL of best when solved,
@@ -313,7 +310,7 @@ def _pruned_argmax(
             new = order[pos:pos + step]
             new = new[ceilings[new] >= (tight[0] if live else floor)]
             pos, step = pos + len(new), 2 * step
-            ritz = np.minimum(ceilings[new], ritz_ceilings(g, pins[new], start=start))
+            ritz = np.minimum(ceilings[new], ritz_ceilings(g, pins[new], start))
             rows, tight = np.concatenate((rows, new)), np.concatenate((tight, ritz))
             rank = np.argsort(-tight, kind="stable")
             rows, tight = rows[rank], tight[rank]
@@ -330,12 +327,12 @@ def brute_force_max_lambda1(
 
     Tie rule: the winner is the lexicographically smallest set whose
     lambda1 is at least max - TIE_TOL, whatever order the sets are
-    solved in. Pruning: every set gets the ceiling
-    ``bounds.pin_set_ceilings`` (min uncontrolled degree, mean boundary
-    weight); walking down those ceilings, only the sets that can still
-    beat the best lambda1 found get ``bounds.ritz_ceilings`` from the
-    all-ones vector, and sets are solved from the highest ceiling down
-    until no set left can reach the tie window (``_pruned_argmax``).
+    solved in. Pruning: the search (``_pruned_argmax``) is given each
+    set's ceiling ``bounds.pin_set_ceilings`` (min uncontrolled degree,
+    mean boundary weight) and the all-ones start; walking down those
+    ceilings, only the sets that can still beat the best lambda1 found
+    get ``bounds.ritz_ceilings`` from that start, and sets are solved from
+    the highest ceiling down until no set left can reach the tie window.
     Refuses to start when C(n, l) exceeds the budget.
     """
     check_l(g, l, budget)
@@ -344,7 +341,7 @@ def brute_force_max_lambda1(
         itertools.chain.from_iterable(itertools.combinations(range(g.n), l)),
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
-    win, lam = _pruned_argmax(g, combos)
+    win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
     return _result("brute_force", combos[win], lam)
 
 
@@ -353,13 +350,15 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
 
     Tie rule: each round adds the smallest node id whose lambda1 is at
     least that round's max - TIE_TOL. A round is the pruned search that
-    ``brute_force_max_lambda1`` runs, over the sets picks + [v], one
-    per node v not yet pinned, in ascending order of v; from the second
-    round on, the bottom eigenvector of the grounding on the picks, from
-    one step of inverse iteration (``bounds.bottom_vector``), gives every
-    set a ceiling (``bounds.after_pin_ceilings``) and starts its Ritz
-    ceiling. A baseline for the exhaustive search: never better, often
-    close.
+    ``brute_force_max_lambda1`` runs (``_pruned_argmax``), over the sets
+    picks + [v], one per node v not yet pinned, in ascending order of v.
+    Each round gives the search a start vector and, as first-tier
+    ceilings, the lower of ``bounds.pin_set_ceilings`` and the start's
+    ceiling for every set (``bounds.after_pin_ceilings``). The first
+    round starts from all ones, as brute force does; each later round
+    from the bottom eigenvector of the grounding on the picks, from one
+    step of inverse iteration (``bounds.bottom_vector``). A baseline for
+    the exhaustive search: never better, often close.
 
     A round depends only on the rounds before it, so the set for l is the
     first l picks of the set for any larger l: a graph's picks and round
@@ -373,13 +372,12 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         rows = np.empty((len(free), k + 1), dtype=np.int64)
         rows[:, :k] = picks
         rows[:, k] = free
-        if k:
-            # the bottom eigenvector of the last winner, whose lambda1 is vals[-1],
-            # near enough, bounds each set picks + [v] and starts its Ritz
-            y = bottom_vector(g, picks, vals[-1])
-            win, val = _pruned_argmax(g, rows, after_pin_ceilings(g, y, free), y)
-        else:
-            win, val = _pruned_argmax(g, rows)
+        # the bottom eigenvector of the last winner, whose lambda1 is vals[-1],
+        # bounds each set picks + [v] and starts its Ritz; in round one, all
+        # ones, whose ceilings are never below the closed forms
+        y = bottom_vector(g, picks, vals[-1]) if k else np.ones(g.n)
+        ceilings = np.minimum(pin_set_ceilings(g, rows), after_pin_ceilings(g, y, free))
+        win, val = _pruned_argmax(g, rows, ceilings, y)
         picks.append(int(free[win]))
         vals.append(val)
         free = np.delete(free, win)

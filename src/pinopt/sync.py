@@ -71,7 +71,7 @@ MAX_RK4_STEPS = 2_000_000
 TOL_SYNC = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeDynamics:
     """An isolated node vector field with a one-sided growth certificate.
 
@@ -213,7 +213,7 @@ class SimConfig:
             raise ValueError("record_every must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Recorded per-node error norms (and adaptive gains) over time."""
 

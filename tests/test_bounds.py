@@ -127,7 +127,7 @@ def test_ritz_ceilings_bound_lambda1(monkeypatch, block_bytes):
     monkeypatch.setattr(pinopt.graphs, "BLOCK_BYTES", block_bytes)
     cases = 0
     for g, rows in _ritz_cases():
-        got = ritz_ceilings(g, rows)
+        got = ritz_ceilings(g, rows, np.ones(g.n))
         for row, ceiling in zip(rows, got):
             m = ground(g, row).matrix
             assert ceiling >= np.linalg.eigvalsh(m)[0], (g, row)
@@ -169,7 +169,7 @@ def test_ritz_ceilings_bound_lambda1_at_every_depth(monkeypatch):
         last = None
         for depth in DEPTHS:
             monkeypatch.setattr(pinopt.bounds, "RITZ_DEPTH", depth)
-            got = ritz_ceilings(g, rows)
+            got = ritz_ceilings(g, rows, np.ones(g.n))
             assert np.all(got >= exact), (g, rows, depth)
             if last is not None:
                 assert np.all(got <= last + slack), (g, rows, depth)
@@ -183,25 +183,23 @@ def test_ritz_ceilings_bound_lambda1_at_every_depth(monkeypatch):
         slack = 4.0 * g.n * np.finfo(float).eps * 2.0 * float(g.degrees.max())
         for depth in DEPTHS:
             monkeypatch.setattr(pinopt.bounds, "RITZ_DEPTH", depth)
-            got = ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]))
+            got = ritz_ceilings(g, np.array([[0, v] for v in range(2, g.n)]), np.ones(g.n))
             assert np.all((got >= lam) & (got <= lam + 2.0 * slack)), (g, depth, got)
 
 
 def test_ritz_ceilings_bound_lambda1_from_any_start():
-    # any start vector, zeroed on the row's pins, gives an upper bound; the
-    # all-ones start is the default to the bit; a start that vanishes off the
-    # pins gives +inf, never NaN
+    # any start vector, zeroed on the row's pins, gives an upper bound; a
+    # start that vanishes off the pins gives +inf, never NaN
     rng = np.random.default_rng(38)
     cases = 0
     for g, rows in _ritz_cases():
         exact = np.array([np.linalg.eigvalsh(ground(g, row).matrix)[0] for row in rows])
-        assert np.array_equal(ritz_ceilings(g, rows, start=np.ones(g.n)), ritz_ceilings(g, rows))
         for start in (rng.standard_normal(g.n), rng.random(g.n) ** 4):
-            assert np.all(ritz_ceilings(g, rows, start=start) >= exact), (g, rows, start)
+            assert np.all(ritz_ceilings(g, rows, start) >= exact), (g, rows, start)
             cases += len(rows)
         zero = np.zeros(g.n)
         zero[rows[0]] = 1.0
-        assert ritz_ceilings(g, rows[:1], start=zero)[0] == np.inf, (g, rows[0])
+        assert ritz_ceilings(g, rows[:1], zero)[0] == np.inf, (g, rows[0])
     assert cases > 1000
 
 
@@ -231,6 +229,19 @@ def test_after_pin_ceilings_bound_every_greedy_row():
     assert cases > 1000
 
 
+def test_all_ones_start_never_tightens_the_closed_form_at_one_pin():
+    # L 1 is exactly 0, so from all ones after_pin_ceilings is deg(v) / (n - 1)
+    # plus its slack, above pin_set_ceilings' min(kmin, cut / (n - 1)): greedy's
+    # first round keeps the closed forms to the bit, on graphs with isolated
+    # nodes too, where kmin is 0
+    graphs = {id(g): g for g, _ in _ritz_cases() if g.n >= 2}.values()
+    for g in graphs:
+        free = np.arange(g.n)
+        closed = pin_set_ceilings(g, free[:, None])
+        assert np.array_equal(np.minimum(closed, after_pin_ceilings(g, np.ones(g.n), free)), closed), g
+    assert len(graphs) == 36
+
+
 def test_ritz_ceilings_tighten_the_closed_forms():
     rng = np.random.default_rng(37)
     for _ in range(20):
@@ -240,9 +251,9 @@ def test_ritz_ceilings_tighten_the_closed_forms():
         rows = np.array([rand_pins(rng, n, l) for _ in range(5)])
         # the all-ones start: cut(S) / (n - l), the mean boundary weight
         cut = [boundary_bounds(g, row)[1] for row in rows]
-        assert np.all(ritz_ceilings(g, rows) <= np.array(cut) + TOL)
+        assert np.all(ritz_ceilings(g, rows, np.ones(g.n)) <= np.array(cut) + TOL)
         # one pin: the single-pin cap deg(v) / (n - 1)
-        single = ritz_ceilings(g, np.arange(n)[:, None])
+        single = ritz_ceilings(g, np.arange(n)[:, None], np.ones(n))
         assert np.all(single <= np.array([upper_single_pin(g, v) for v in range(n)]) + TOL)
 
 

@@ -548,11 +548,11 @@ def test_pruned_search_keeps_the_whole_tie_window(monkeypatch):
     def ceilings(g, pins, *args, **kwargs):
         return lam[pins[:, 0]] + 1e-12
 
-    monkeypatch.setattr(pinopt.strategies, "pin_set_ceilings", ceilings)
     monkeypatch.setattr(pinopt.strategies, "ritz_ceilings", ceilings)
     monkeypatch.setattr(Graph, "grounded_lambda1s", lambda g, pins: lam[pins[:, 0]])
     g = build_graph(3001, [])
-    assert pinopt.strategies._pruned_argmax(g, np.arange(3000)[:, None]) == (5, lam[5])
+    pins = np.arange(3000)[:, None]
+    assert pinopt.strategies._pruned_argmax(g, pins, ceilings(g, pins), np.ones(g.n)) == (5, lam[5])
 
 
 def test_lazy_ritz_gives_few_rows_a_ritz_ceiling(monkeypatch):

@@ -108,6 +108,18 @@ def test_simulate_is_seed_reproducible():
     assert (r1.converged, r1.final_error, r1.blowup_time) == (r2.converged, r2.final_error, r2.blowup_time)
 
 
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # a grounding, a node dynamic and a simulation result hold ndarrays, whose
+    # == is elementwise: the records compare and hash as objects
+    g = gen_path(3)
+    cfg = SimConfig(controller="linear", c=1.0, d=1.0, dt=0.1, t_end=0.2, seed=0)
+    pairs = [(ground(g, [0]), ground(g, [0])), (chua(), chua()),
+             (simulate(g, [0], linear_unstable(0.1), cfg), simulate(g, [0], linear_unstable(0.1), cfg))]
+    for a, b in pairs:
+        assert a == a and a != b, type(a).__name__
+        assert hash(a) == hash(a) and len({a, b}) == 2, type(a).__name__
+
+
 def test_simulate_recording_grid():
     g = gen_path(3)
     cfg = SimConfig(controller="linear", c=1.0, d=1.0, dt=0.1, t_end=1.0, record_every=4, seed=0)
