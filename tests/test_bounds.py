@@ -299,6 +299,15 @@ def test_feedback_gain_bound_refuses_nan_coupling():
         feedback_gain_bound(gen_path(5), [0], alpha=0.1, c=float("nan"))
 
 
+# alpha that leaves the gain-bound matrices non-finite, and a coupling that
+# overflows them
+@pytest.mark.parametrize("alpha, c", [(float("nan"), 1.0), (float("-inf"), 1.0),
+                                      (0.5, float("inf")), (0.5, 1e308)])
+def test_feedback_gain_bound_refuses_non_finite_matrices(alpha, c):
+    with pytest.raises(ValueError, match="finite"):
+        feedback_gain_bound(gen_star(6), [0], alpha=alpha, c=c)
+
+
 def test_bound_report_fields():
     g = gen_double_star(5)
     pins = (1, 7)  # both hubs

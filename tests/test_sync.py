@@ -187,6 +187,22 @@ def test_linear_stability_oracle_growth_rate():
     assert linear_stability_oracle(g, pins, a, c, d) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["a", "c", "d"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_linear_stability_oracle_refuses_non_finite_scalars(name, value):
+    scalars = {"a": 1.0, "c": 1.0, "d": 1.0, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        linear_stability_oracle(gen_star(6), [0], **scalars)
+
+
+def test_linear_stability_oracle_refuses_an_overflowing_matrix():
+    # c * degree and c * d pass float range although each scalar is finite
+    with pytest.raises(ValueError, match="finite"):
+        linear_stability_oracle(gen_star(6), [0], 1.0, 1e308, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        linear_stability_oracle(gen_star(6), [0], 1.0, 1e308, -1e308)
+
+
 def test_linear_stability_oracle_sign_predicts_outcome():
     g = gen_star(5)
     a, c = 0.3, 1.0
