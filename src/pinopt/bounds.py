@@ -45,13 +45,14 @@ entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .graphs import Graph, block_rows, check_l, ground, pin_set
-from .spectra import eig_sym
+from .spectra import bottom_eigvecs, check_finite, eigvals, solve
 
 __all__ = [
     "BoundReport",
@@ -205,7 +206,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
         h = np.zeros((k, d, d))
         h[:, diag, diag] = alpha.T
         h[:, diag[1:], diag[:-1]] = h[:, diag[:-1], diag[1:]] = beta[:-1].T
-        y = np.einsum("kj,jnk->nk", np.linalg.eigh(h)[1][:, :, 0], basis)
+        y = np.einsum("kj,jnk->nk", bottom_eigvecs(h), basis)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.einsum("nk,nk->k", y, times_m(y, keep)) / np.einsum("nk,nk->k", y, y) + slack
         out[lo:lo + step] = np.where(np.isfinite(q), q, np.inf)
@@ -223,7 +224,7 @@ def bottom_vector(g: Graph, s: Iterable[int], lam: float) -> np.ndarray:
     m = grounded.matrix
     m.flat[:: len(m) + 1] -= 0.99 * lam - 1e-3
     y = np.zeros(g.n)
-    y[grounded.keep] = np.linalg.solve(m, np.ones(len(m)))
+    y[grounded.keep] = solve(m, np.ones(len(m)))
     return y / np.abs(y).max()
 
 
@@ -268,10 +269,14 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     returned value makes c*(L + D) - alpha*I positive definite (D has
     c*d at pinned diagonal entries), via the Schur complement on the
     pinned block. The inner inverse is applied through a dense solve;
-    no matrix inverse is formed.
+    no matrix inverse is formed. alpha and c must be finite, and so must
+    the pinned block they give.
     """
     if not c > 0:
         raise ValueError(f"coupling strength must be positive, got c={c}")
+    for name, value in (("alpha", alpha), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     pins = pin_set(g, s)
     grounded = ground(g, pins)
     if c * grounded.lambda1 <= alpha:
@@ -286,10 +291,11 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     l_pr = lap[np.ix_(p, r)]
     # Schur block: c^2 * L_pr (c*L_rr - alpha I)^{-1} L_rp - c*L_pp
     core = c * grounded.matrix - alpha * np.eye(len(r))
-    solved = np.linalg.solve(core, l_pr.T)
+    solved = solve(core, l_pr.T)
     block = c * c * (l_pr @ solved) - c * l_pp
     block = (block + block.T) / 2.0
-    return float((eig_sym(block)[-1] + alpha) / c)
+    check_finite(block)  # finite scalars may still overflow
+    return float((eigvals(block)[-1] + alpha) / c)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .spectra import eigvals
+
 __all__ = [
     "Graph",
     "GroundedLaplacian",
@@ -123,10 +125,9 @@ class Graph:
         """All Laplacian eigenvalues, ascending, read-only.
 
         The Laplacian is built for this solve and freed after it, not
-        kept as `laplacian`. No symmetry check (``spectra.eig_sym`` has
-        one): the matrix is symmetric by construction.
+        kept as `laplacian`.
         """
-        vals = np.linalg.eigvalsh(_block(self, np.ones(self.n, dtype=bool)))
+        vals = eigvals(_block(self, np.ones(self.n, dtype=bool)))
         vals.flags.writeable = False
         return vals
 
@@ -136,15 +137,14 @@ class Graph:
 
         Each value equals ``ground(self, row).lambda1`` bit for bit: the
         stacked matrices are the same submatrices, and LAPACK solves them
-        one by one. The symmetry check is skipped, as every matrix is a
-        block of the Laplacian.
+        one by one.
         """
         k = len(pins)
         keep = np.ones((k, self.n), dtype=bool)
         keep[np.arange(k)[:, None], pins] = False
         idx = np.nonzero(keep)[1].reshape(k, -1)
         # a copy, so the k x (n - l) eigenvalues are not kept alive behind it
-        return np.linalg.eigvalsh(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0].copy()
+        return eigvals(self.laplacian[idx[:, :, None], idx[:, None, :]])[:, 0].copy()
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
@@ -287,9 +287,8 @@ class GroundedLaplacian:
 
     @cached_property
     def lambda1(self) -> float:
-        """Smallest eigenvalue of `matrix`, a block of the graph's
-        Laplacian, so symmetric by construction and not checked again."""
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        """Smallest eigenvalue of `matrix`."""
+        return float(eigvals(self.matrix)[0])
 
 
 def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:

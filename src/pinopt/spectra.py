@@ -1,8 +1,25 @@
-"""Symmetric eigenvalue helpers and closed-form grounded spectra.
+"""The package's one eigensolve seam, and closed-form grounded spectra.
 
-The numeric path is LAPACK through numpy.linalg; the closed forms cover
-the two families (stars and complete graphs) where deleting pinned
-rows/cols leaves a matrix whose spectrum is known exactly.
+Every LAPACK call of pinopt is made here; no other module names a
+LAPACK routine of numpy.linalg (a test holds them to it). Three
+functions are the unchecked seam, for matrices the package builds
+itself, symmetric and finite by construction:
+
+- :func:`eigvals`: all eigenvalues, ascending, of one matrix or of each
+  of a stack, by ``eigvalsh``;
+- :func:`bottom_eigvecs`: the bottom eigenvector of each of a stack, by
+  ``eigh``;
+- :func:`solve`: a dense solve, by ``solve``.
+
+Each looks its routine up on ``np.linalg`` at every call, so a harness
+that rebinds the routine there sees every solve. :func:`eig_sym` and
+:func:`lambda1` are the checked path, for matrices from outside the
+package: they refuse a matrix that is not square, finite and symmetric
+within SYM_TOL before they solve it.
+
+The closed forms cover the two families (stars and complete graphs)
+where deleting pinned rows/cols leaves a matrix whose spectrum is known
+exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +29,10 @@ import math
 import numpy as np
 
 __all__ = [
+    "eigvals",
+    "bottom_eigvecs",
+    "solve",
+    "check_finite",
     "eig_sym",
     "lambda1",
     "star_grounded_lambda1",
@@ -21,20 +42,43 @@ __all__ = [
 SYM_TOL = 1e-12
 
 
+def check_finite(m: np.ndarray) -> None:
+    """ValueError unless every entry of `m` is finite."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+
+
 def _check_sym(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    check_finite(m)
     if m.size and np.max(np.abs(m - m.T)) > SYM_TOL:
         raise ValueError(f"matrix is not symmetric within {SYM_TOL}")
     return m
 
 
+def eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric matrix or of each matrix of
+    a stack (..., k, k); no check."""
+    return np.linalg.eigvalsh(m)
+
+
+def bottom_eigvecs(m: np.ndarray) -> np.ndarray:
+    """The eigenvector of the smallest eigenvalue of each symmetric matrix
+    of a stack (s, k, k), as the rows of an (s, k) array; no check."""
+    return np.linalg.eigh(m)[1][:, :, 0]
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b, for a square nonsingular a; no check."""
+    return np.linalg.solve(a, b)
+
+
 def eig_sym(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(_check_sym(m))
+    """Eigenvalues of a real symmetric matrix, ascending, once the matrix
+    passes the checks."""
+    return eigvals(_check_sym(m))
 
 
 def lambda1(m: np.ndarray) -> float:

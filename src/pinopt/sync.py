@@ -50,7 +50,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graphs import BudgetError, Graph, block_rows, ground, pin_set
-from .spectra import eig_sym
+from .spectra import check_finite, eigvals
 
 __all__ = [
     "NodeDynamics",
@@ -164,7 +164,7 @@ def chua() -> NodeDynamics:
             [1.0, -1.0, 1.0],
             [0.0, -b_p, 0.0],
         ])
-        return float(eig_sym((jac + jac.T) / 2.0)[-1])
+        return float(eigvals((jac + jac.T) / 2.0)[-1])
 
     alpha_min = max(mu2(m0), mu2(m1))
     return NodeDynamics(
@@ -446,7 +446,13 @@ def linear_stability_oracle(g: Graph, s: Iterable[int], a: float, c: float, d: f
     """Exact growth rate for scalar linear dynamics under constant gains.
 
     Largest eigenvalue of a*I - c*(L + D) with D carrying d at pinned
-    diagonal entries; negative means every error mode decays.
+    diagonal entries; negative means every error mode decays. a, c and d
+    must be finite, and so must the matrix they give.
     """
+    for name, value in (("a", a), ("c", c), ("d", d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     m = _closed_loop(g, np.array(pin_set(g, s), dtype=np.int64), a, c, d)
-    return float(eig_sym(m)[-1])
+    # off the diagonal every entry is c or 0, so only the diagonal can overflow
+    check_finite(m.diagonal())
+    return float(eigvals(m)[-1])
