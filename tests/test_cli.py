@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +19,28 @@ from pinopt.graphs import MAX_NODES, format_edge_list
 
 
 def run_cli(*argv, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "pinopt", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=120,
-    )
+    """`pinopt argv` run in this process through `main`, in the working
+    directory `cwd`: its exit code, stdout and stderr, as
+    `python -m pinopt` would give them. argparse's SystemExit becomes its
+    code, and every warning is written to stderr, as a fresh process shows
+    it; an exception that escapes `main` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)  # contextlib.chdir needs Python 3.11
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line)
+                   for w in caught)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture()
@@ -449,6 +467,16 @@ def test_sweep_reads_budget_for_the_brute_column(double_star_file, capsys):
 
 
 # ---------------------------------------------------------------- entry point
+
+
+def test_python_m_pinopt_runs_main_and_returns_its_code(double_star_file):
+    # the entry point itself, in a fresh process; run_cli calls main in this one
+    res = subprocess.run([sys.executable, "-m", "pinopt", "select", str(double_star_file),
+                          "--strategy", "brute_force", "--l", "6", "--budget", "100"],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: C(13, 6) = 1716 subsets exceeds the budget of 100\n"
 
 
 def test_main_in_process_exit_codes(tmp_path, capsys):
