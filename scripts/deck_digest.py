@@ -92,6 +92,9 @@ OFFDECK_GRAPHS = {
     "ring60": "--family nw --n 60 --K 4 --p 0 --seed 0",
     "edgeless": "6\n",
     "split": "9\n0 1\n1 2\n3 4\n5 6\n6 7\n5 7\n",
+    # K8 as text, so that no gen line moves the indices of the commands
+    "k8": ("8\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n1 2\n1 3\n1 4\n1 5\n1 6\n1 7\n"
+           "2 3\n2 4\n2 5\n2 6\n2 7\n3 4\n3 5\n3 6\n3 7\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"),
 }
 
 # The off-deck commands, split on spaces once each {graph} is a path.
@@ -147,6 +150,10 @@ OFFDECK = [
     "select {ba60} --strategy brute_force --l 5 --budget 100",
     "sweep {ba60} --strategy greedy --l-range 1:3 --with-brute-force --budget 10",
     "simulate {ds5} --pins 0 --dynamics chua --controller linear --c 1 --d 1 --T 1e6 --dt 1e-3",
+    # verdicts at a threshold the exact lambda1 equals, where the
+    # eigensolve lands a few ulps above it (K8) and below it (K30)
+    "analyze {k8} --pins 2,6,1 --alpha-over-c 3",
+    "analyze {k30} --pins 0,1,2 --alpha-over-c 3",
 ]
 
 

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, block_rows, check_l, ground, pin_set
+from .graphs import Graph, GroundedLaplacian, block_rows, check_l, ground, pin_set
 from .spectra import bottom_eigvecs, check_finite, eigvals, solve
 
 __all__ = [
@@ -66,6 +67,8 @@ __all__ = [
     "after_pin_ceilings",
     "upper_single_pin",
     "feedback_gain_bound",
+    "clamp_lambda1",
+    "criterion_holds",
     "bound_report",
 ]
 
@@ -298,13 +301,54 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     return float((eigvals(block)[-1] + alpha) / c)
 
 
+def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
+    """`lam`, an eigensolve's lambda1 of `grounded`, clamped into that
+    grounding's bounds [lower_min_boundary, min(upper_kmin,
+    upper_avg_boundary)], and never -0.0.
+
+    The exact lambda1 lies in that interval (the mean up to its one
+    rounding), so the clamp can only move an eigensolve that is a few
+    ulps off toward it, and where the bounds meet it gives the exact
+    value. This is the value the CLI prints; the searches compare the
+    raw eigensolves.
+    """
+    w = grounded.weights
+    upper = min(float(grounded.graph.degrees[grounded.keep].min()), float(w.mean()))
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    return min(max(lam, float(w.min())), upper) + 0.0
+
+
+def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
+    """The criterion c * lambda1 > alpha on `grounded`, c > 0, where the
+    exact bounds decide it wherever they can.
+
+    It holds if c times the lower bound, the least boundary weight, is
+    above alpha, and fails if c times the upper bound min(min uncontrolled
+    degree, cut(S) / (n - l)) is at most alpha. Both comparisons are
+    exact, the bounds as integers and a Fraction, so neither an
+    eigensolve's last bits nor the rounding of the mean can flip them.
+    Between the bounds, or for a non-finite alpha or c, the eigensolve
+    decides, as c * lambda1 > alpha in floats.
+    """
+    if math.isfinite(alpha) and math.isfinite(c):
+        threshold = Fraction(alpha) / Fraction(c)
+        w = grounded.weights
+        if int(w.min()) > threshold:
+            return True
+        kmin = int(grounded.graph.degrees[grounded.keep].min())
+        if min(Fraction(kmin), Fraction(int(w.sum()), len(w))) <= threshold:
+            return False
+    return bool(c * grounded.lambda1 > alpha)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All bounds for one (graph, pin set) pair, plus the exact lambda1.
 
-    upper_single_pin is populated only when l == 1; satisfied is the
-    criterion lambda1 > alpha_over_c, populated only when a threshold
-    was given.
+    lambda1 is the eigensolve clamped into the bounds
+    (``clamp_lambda1``). upper_single_pin is populated only when l == 1;
+    satisfied is the criterion lambda1 > alpha_over_c
+    (``criterion_holds``), populated only when a threshold was given.
     """
 
     lambda1: float
@@ -323,15 +367,14 @@ def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) 
     # the full spectrum first: its eigensolve then never overlaps the grounded matrix in memory
     upper_spec = upper_by_spectrum(g, len(pins))
     grounded = ground(g, pins)
-    lam = grounded.lambda1
     w = grounded.weights
     return BoundReport(
-        lambda1=lam,
+        lambda1=clamp_lambda1(grounded, grounded.lambda1),
         lower_min_boundary=float(w.min()),
         upper_spectrum=upper_spec,
         upper_kmin=float(g.degrees[grounded.keep].min()),
         upper_avg_boundary=float(w.mean()),
         upper_single_pin=upper_single_pin(g, pins[0]) if len(pins) == 1 else None,
         alpha_over_c=alpha_over_c,
-        satisfied=None if alpha_over_c is None else bool(lam > alpha_over_c),
+        satisfied=None if alpha_over_c is None else criterion_holds(grounded, alpha_over_c),
     )

@@ -2,7 +2,9 @@
 
 Every strategy returns a SelectionResult whose lambda1 is the smallest
 eigenvalue of the grounded Laplacian for the selected set (averaged
-over tie-breaking runs where the strategy is randomized).
+over tie-breaking runs where the strategy is randomized), each
+eigensolve clamped into its set's bounds (``bounds.clamp_lambda1``).
+The searches compare the raw eigensolves.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import after_pin_ceilings, bottom_vector, pin_set_ceilings, ritz_block_rows, ritz_ceilings
+from .bounds import (
+    after_pin_ceilings, bottom_vector, clamp_lambda1, pin_set_ceilings, ritz_block_rows, ritz_ceilings,
+)
 # BudgetError stays importable from here, where the searches raise it
-from .graphs import BudgetError, Graph, block_rows, check_l, connected_components, ground
+from .graphs import BudgetError, Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground
 
 __all__ = [
     "StrategyConfig",
@@ -68,9 +72,14 @@ class SelectionResult:
     lambda1_runs: tuple[float, ...]
 
 
-def _result(strategy: str, pins, lam: float, seed: int | None = None) -> SelectionResult:
-    """The result of a strategy that picks one set, of lambda1 `lam`."""
+def _result(g: Graph, strategy: str, pins, lam: float, seed: int | None = None) -> SelectionResult:
+    """The result of a strategy that picks one set, of lambda1 `lam` (an
+    eigensolve), which it reports clamped into the set's bounds."""
     pins = tuple(int(v) for v in pins)
+    # the pins are valid, so the grounding is built without ground's checks
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(pins)] = False
+    lam = clamp_lambda1(GroundedLaplacian(g, keep), lam)
     return SelectionResult(strategy=strategy, l=len(pins), q=None, seed=seed,
                            pin_set=pins, lambda1=lam, lambda1_runs=(lam,))
 
@@ -99,10 +108,11 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     """Degree-mix selection, lambda1 averaged over cfg.runs tie-break runs.
 
     The run-0 set is the one reported; runs differ only in how degree
-    ties are broken.
+    ties are broken. Each run's lambda1 is clamped into its set's bounds.
     """
     pin_sets = [degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
-    runs = tuple(ground(g, pins).lambda1 for pins in pin_sets)
+    runs = tuple(clamp_lambda1(grounded, grounded.lambda1)
+                 for grounded in (ground(g, pins) for pins in pin_sets))
     return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
                            pin_set=pin_sets[0], lambda1=float(np.mean(runs)), lambda1_runs=runs)
 
@@ -195,7 +205,7 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
         top = bc[left].max()
         left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
     pins = np.flatnonzero(~left)
-    return _result("betweenness", pins, ground(g, pins).lambda1)
+    return _result(g, "betweenness", pins, ground(g, pins).lambda1)
 
 
 def _partition_sweep(g: Graph, nbrs: list[list[int]], active: set[int], rng) -> set[int]:
@@ -252,7 +262,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
             for v in slate:
                 active.difference_update(nbrs[v])
         if len(pins) < g.n:
-            return _result("dominating_partition", sorted(pins), ground(g, pins).lambda1, seed)
+            return _result(g, "dominating_partition", sorted(pins), ground(g, pins).lambda1, seed)
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
@@ -342,7 +352,7 @@ def brute_force_max_lambda1(
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
     win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
-    return _result("brute_force", combos[win], lam)
+    return _result(g, "brute_force", combos[win], lam)
 
 
 def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
@@ -382,4 +392,4 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         vals.append(val)
         free = np.delete(free, win)
     # round l solved the grounding of exactly this set
-    return _result("greedy", sorted(picks[:l]), vals[l - 1])
+    return _result(g, "greedy", sorted(picks[:l]), vals[l - 1])

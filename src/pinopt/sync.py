@@ -49,6 +49,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .bounds import criterion_holds
 from .graphs import BudgetError, Graph, block_rows, ground, pin_set
 from .spectra import check_finite, eigvals
 
@@ -436,10 +437,11 @@ def simulate(g: Graph, s: Iterable[int], dyn: NodeDynamics, cfg: SimConfig) -> S
 
 
 def check_criterion(g: Graph, s: Iterable[int], alpha: float, c: float) -> bool:
-    """Sufficient synchronization test: c * lambda1(grounded) > alpha."""
+    """Sufficient synchronization test: c * lambda1(grounded) > alpha,
+    decided by ``bounds.criterion_holds``, so that rounding cannot flip it."""
     if not c > 0:
         raise ValueError(f"coupling strength must be positive, got c={c}")
-    return bool(c * ground(g, s).lambda1 > alpha)
+    return criterion_holds(ground(g, s), alpha, c)
 
 
 def linear_stability_oracle(g: Graph, s: Iterable[int], a: float, c: float, d: float) -> float:

@@ -11,6 +11,7 @@ from pinopt.bounds import (
     bottom_vector,
     bound_report,
     boundary_bounds,
+    criterion_holds,
     feedback_gain_bound,
     pin_set_ceilings,
     ritz_ceilings,
@@ -21,7 +22,7 @@ from pinopt.bounds import (
 from pinopt.generators import gen_complete, gen_double_star, gen_path, gen_star
 from pinopt.cli import main
 from pinopt.graphs import build_graph, format_edge_list, ground, laplacian, pin_set
-from pinopt.spectra import eig_sym, lambda1
+from pinopt.spectra import complete_grounded_spectrum, eig_sym, lambda1, star_grounded_lambda1
 
 TOL = 1e-9
 
@@ -338,3 +339,71 @@ def test_bound_report_json_keys_stable(tmp_path, capsys):
         "alpha_over_c",
         "satisfied",
     ]
+
+
+# the split graph: a path 0-1-2, an edge 3-4, a triangle 5-6-7 and node 8 alone
+SPLIT = "9\n0 1\n1 2\n3 4\n5 6\n6 7\n5 7\n"
+
+
+def test_printed_lambda1_is_the_closed_form_where_the_bounds_meet():
+    # K_n under any l pins: every node keeps l pinned neighbours and the mean is l
+    rng = np.random.default_rng(35)
+    for n in range(3, 31):
+        g = gen_complete(n)
+        for l in range(1, n):
+            pins = rand_pins(rng, n, l)
+            assert bound_report(g, pins).lambda1 == complete_grounded_spectrum(n, l)[0], pins
+    for n in range(3, 40):
+        assert bound_report(gen_star(n), [0]).lambda1 == star_grounded_lambda1(n, "center")
+        leaf = bound_report(gen_star(n), [1])
+        assert leaf.lambda1 == pytest.approx(star_grounded_lambda1(n, "leaf"), rel=1e-12)
+        assert leaf.lower_min_boundary <= leaf.lambda1 <= leaf.upper_avg_boundary
+
+
+def test_printed_lambda1_is_zero_where_a_part_has_no_pin():
+    g = pinopt.graphs.parse_edge_list(SPLIT)
+    assert ground(g, [3]).lambda1 < 0.0  # the eigensolve lands below the exact 0
+    for pins in ([3], [0, 5], [0, 3, 5]):
+        rep = bound_report(g, pins)
+        assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1), pins
+
+
+def test_printed_lambda1_stays_inside_its_bounds():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = build_graph(n, edges)
+        rep = bound_report(g, rand_pins(rng, n, int(rng.integers(1, n))))
+        assert rep.lower_min_boundary <= rep.lambda1
+        assert rep.lambda1 <= min(rep.upper_kmin, rep.upper_avg_boundary)
+        assert not np.signbit(rep.lambda1)
+
+
+def test_the_bounds_decide_the_verdict_where_they_can():
+    k8 = gen_complete(8)
+    # lambda1 is exactly 3 and the eigensolve lands a few ulps above it
+    assert ground(k8, [1, 2, 6]).lambda1 > 3.0
+    assert bound_report(k8, [2, 6, 1], alpha_over_c=3.0).satisfied is False
+    assert not criterion_holds(ground(k8, [1, 2, 6]), 3.0)
+    assert criterion_holds(ground(k8, [1, 2, 6]), float(np.nextafter(3.0, 0.0)))
+    # c * 3 against alpha exactly, not in floats: 0.1 * 3 rounds up to 0.30000000000000004
+    assert criterion_holds(ground(k8, [1, 2, 6]), 0.3, c=0.1)
+    assert not criterion_holds(ground(k8, [1, 2, 6]), 0.30000000000000004, c=0.1)
+    k30 = gen_complete(30)
+    # and on K30 a few ulps below it
+    assert ground(k30, [0, 1, 2]).lambda1 < 3.0
+    assert bound_report(k30, [0, 1, 2], alpha_over_c=float(np.nextafter(3.0, 0.0))).satisfied is True
+
+
+def test_the_eigensolve_decides_the_verdict_between_the_bounds():
+    g = gen_path(5)
+    grounded = ground(g, [0])
+    lam = grounded.lambda1
+    assert 0.0 < lam < 0.25  # bounds 0 and 1/4
+    assert criterion_holds(grounded, lam - 1e-12) and not criterion_holds(grounded, lam)
+    # a non-finite threshold or coupling is compared in floats, as before
+    assert criterion_holds(grounded, float("-inf"))
+    assert not criterion_holds(grounded, float("inf"))
+    assert not criterion_holds(grounded, float("nan"))
+    assert criterion_holds(grounded, 1.0, c=float("inf"))

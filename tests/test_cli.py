@@ -127,6 +127,18 @@ def test_analyze_criterion_flag(double_star_file):
     assert rep["satisfied"] is True
 
 
+def test_analyze_prints_lambda1_inside_its_bounds_and_an_exact_verdict(tmp_path):
+    k8, split = tmp_path / "k8.txt", tmp_path / "split.txt"
+    assert run_cli("gen", "--family", "complete", "--n", "8", "--out", str(k8)).returncode == 0
+    rep = json.loads(run_cli("analyze", str(k8), "--pins", "2,6,1", "--alpha-over-c", "3").stdout)
+    assert (rep["lambda1"], rep["satisfied"]) == (3.0, False)
+    split.write_text("9\n0 1\n1 2\n3 4\n5 6\n6 7\n5 7\n")
+    res = run_cli("analyze", str(split), "--pins", "3")
+    assert res.stdout.startswith('{"lambda1": 0.0, ')
+    res = run_cli("select", str(split), "--strategy", "betweenness", "--l", "1")
+    assert '"lambda1": 0.0, "lambda1_runs": [0.0]}' in res.stdout
+
+
 def test_analyze_pins_file(tmp_path, double_star_file):
     pins = tmp_path / "pins.txt"
     pins.write_text("1 7  # hubs\n")

@@ -10,7 +10,7 @@ import pinopt.graphs
 import pinopt.strategies
 from conftest import betweenness_by_enumeration, neighbours, rand_connected
 from test_acceptance import _suite
-from pinopt.bounds import RITZ_DEPTH
+from pinopt.bounds import RITZ_DEPTH, bound_report
 from pinopt.generators import (
     gen_ba,
     gen_complete,
@@ -415,23 +415,25 @@ def test_greedy_never_beats_brute_force():
 
 
 def _plain_brute_force(g, l):
-    """Solve every set; the smallest set within TIE_TOL of the max wins."""
+    """Solve every set; the smallest set within TIE_TOL of the max wins.
+    The winner and the lambda1 that analyze prints for it."""
     vals = {combo: ground(g, combo).lambda1
             for combo in itertools.combinations(range(g.n), l)}
     top = max(vals.values())
     best = min(combo for combo, val in vals.items() if val >= top - TIE_TOL)
-    return best, vals[best]
+    return best, bound_report(g, best).lambda1
 
 
 def _plain_greedy(g, l):
-    """Solve every candidate each round; the smallest id within TIE_TOL of the max wins."""
+    """Solve every candidate each round; the smallest id within TIE_TOL of the max wins.
+    The set and the lambda1 that analyze prints for it."""
     current = []
     for _ in range(l):
         vals = {v: ground(g, current + [v]).lambda1 for v in range(g.n) if v not in current}
         top = max(vals.values())
         current.append(min(v for v, val in vals.items() if val >= top - TIE_TOL))
     pins = tuple(sorted(current))
-    return pins, ground(g, pins).lambda1
+    return pins, bound_report(g, pins).lambda1
 
 
 def _search_graphs():
@@ -634,9 +636,11 @@ def test_brute_force_tie_goes_to_the_smallest_set_within_tolerance():
     assert (n, l) == (7, 2)
     # (4, 6) solves to exactly 1.0 and (0, 6) to a few ulps below it: a tie
     assert _lam(g, (4, 6)) == 1.0
+    assert ground(g, (0, 6)).lambda1 == 0.9999999999999996
     res = brute_force_max_lambda1(g, l)
     assert res.pin_set == (0, 6)
-    assert res.lambda1 == 0.9999999999999996
+    # printed clamped into the bounds of (0, 6), whose lower bound is 1
+    assert res.lambda1 == 1.0
 
 
 def test_greedy_prefers_small_ids_on_ties():

@@ -170,6 +170,13 @@ def test_check_criterion_is_the_spectral_test():
         assert not check_criterion(g, pins, c * lam + 1e-6, c)
 
 
+def test_check_criterion_is_exact_where_the_bounds_decide():
+    # K8 under three pins: lambda1 is exactly 3, and the eigensolve a few ulps above
+    assert ground(gen_complete(8), [2, 6, 1]).lambda1 > 3.0
+    assert not check_criterion(gen_complete(8), [2, 6, 1], 3.0, 1.0)
+    assert check_criterion(gen_complete(8), [2, 6, 1], 2.9, 1.0)
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
 def test_check_criterion_refuses_non_positive_coupling(c):
     with pytest.raises(ValueError, match="coupling strength must be positive"):
