@@ -36,6 +36,10 @@ byte-identical to a from-scratch build:
 - Boundary weights are int64 counts, never float sums of Laplacian
   entries: a float sum of ``-0.0`` terms is ``-0.0`` and would print
   that way in JSON.
+
+Every eigensolve here goes through ``spectra.eigvals``, unchecked: the
+matrices are blocks of the Laplacian, symmetric and finite by
+construction.
 """
 
 from __future__ import annotations
