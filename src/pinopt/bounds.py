@@ -42,16 +42,13 @@ later round starts from the last winner's bottom eigenvector, from one
 step of inverse iteration (``bottom_vector``), whose quotient with
 entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 
-The closed forms also keep the printed values honest. The CLI prints
-lambda1 clamped into the grounding's bounds (``clamp_lambda1``), and
-the criterion c * lambda1 > alpha is decided by the exact bounds
-wherever they decide it, and by the eigensolve only between them
-(``criterion_holds``).
+The closed forms also settle what is printed: lambda1 is clamped into
+them (``clamp_lambda1``), and they decide the criterion c * lambda1 >
+alpha wherever they can (``criterion_holds``).
 
-Every solve here goes through the unchecked seam in ``spectra``
-(``eigvals``, ``bottom_eigvecs``, ``solve``): the matrices are built
-here. The gain bound checks its scalars and its pinned block for
-finiteness itself.
+Every solve here goes through the unchecked seam in ``spectra``, as
+the matrices are built here; the gain bound checks its scalars and its
+pinned block for finiteness itself.
 """
 
 from __future__ import annotations

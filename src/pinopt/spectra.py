@@ -1,21 +1,13 @@
 """The package's one eigensolve seam, and closed-form grounded spectra.
 
-Every LAPACK call of pinopt is made here; no other module names a
-LAPACK routine of numpy.linalg (a test holds them to it). Three
-functions are the unchecked seam, for matrices the package builds
-itself, symmetric and finite by construction:
-
-- :func:`eigvals`: all eigenvalues, ascending, of one matrix or of each
-  of a stack, by ``eigvalsh``;
-- :func:`bottom_eigvecs`: the bottom eigenvector of each of a stack, by
-  ``eigh``;
-- :func:`solve`: a dense solve, by ``solve``.
-
-Each looks its routine up on ``np.linalg`` at every call, so a harness
-that rebinds the routine there sees every solve. :func:`eig_sym` and
-:func:`lambda1` are the checked path, for matrices from outside the
-package: they refuse a matrix that is not square, finite and symmetric
-within SYM_TOL before they solve it.
+Every LAPACK call of pinopt is made here; a test holds the other
+modules to it. :func:`eigvals`, :func:`bottom_eigvecs` and :func:`solve`
+are unchecked, for the matrices the package builds, symmetric and
+finite by construction. Each looks its routine up on ``np.linalg`` at
+every call, so a harness that rebinds the routine there sees every
+solve. :func:`eig_sym` and :func:`lambda1` are the checked path, for
+matrices from outside the package: they refuse a matrix that is not
+square, finite and symmetric within SYM_TOL.
 
 The closed forms cover the two families (stars and complete graphs)
 where deleting pinned rows/cols leaves a matrix whose spectrum is known

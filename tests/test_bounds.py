@@ -304,6 +304,7 @@ def test_feedback_gain_bound_refuses_nan_coupling():
 # overflows them
 @pytest.mark.parametrize("alpha, c", [(float("nan"), 1.0), (float("-inf"), 1.0),
                                       (0.5, float("inf")), (0.5, 1e308)])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_feedback_gain_bound_refuses_non_finite_matrices(alpha, c):
     with pytest.raises(ValueError, match="finite"):
         feedback_gain_bound(gen_star(6), [0], alpha=alpha, c=c)

@@ -202,6 +202,7 @@ def test_linear_stability_oracle_refuses_non_finite_scalars(name, value):
         linear_stability_oracle(gen_star(6), [0], **scalars)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_linear_stability_oracle_refuses_an_overflowing_matrix():
     # c * degree and c * d pass float range although each scalar is finite
     with pytest.raises(ValueError, match="finite"):
