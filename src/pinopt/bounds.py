@@ -327,8 +327,8 @@ def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
 
 
 def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
-    """The criterion c * lambda1 > alpha on `grounded`, c > 0, where the
-    exact bounds decide it wherever they can.
+    """The criterion c * lambda1 > alpha on `grounded` (c > 0), decided by
+    the exact bounds wherever they can decide it.
 
     It holds if c times the lower bound, the least boundary weight, is
     above alpha, and fails if c times the upper bound min(min uncontrolled

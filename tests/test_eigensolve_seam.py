@@ -14,13 +14,11 @@ from pathlib import Path
 import pinopt
 
 ROOT = Path(pinopt.__file__).parent
-SOURCES = sorted(ROOT.rglob("*.py"))
+# every module of the package, by its path below the package, parsed
+TREES = {path.relative_to(ROOT).with_suffix("").as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(ROOT.rglob("*.py"))}
 # the names of numpy.linalg that call no LAPACK routine
 NOT_LAPACK = {"norm"}
-
-
-def _module(path: Path) -> str:
-    return path.relative_to(ROOT).with_suffix("").as_posix()
 
 
 def _linalg_names(tree: ast.AST) -> set[str]:
@@ -47,27 +45,17 @@ def _linalg_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _eig_sym_importers() -> set[str]:
-    found = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and any(a.name == "eig_sym" for a in node.names):
-                found.add(_module(path))
-    return found
-
-
 def test_only_spectra_calls_lapack():
-    assert len(SOURCES) > 5
-    lapack = {}
-    for path in SOURCES:
-        names = _linalg_names(ast.parse(path.read_text(encoding="utf-8"))) - NOT_LAPACK
-        if names:
-            lapack[_module(path)] = names
-    assert lapack == {"spectra": {"eigvalsh", "eigh", "solve"}}
+    assert len(TREES) > 5
+    lapack = {name: _linalg_names(tree) - NOT_LAPACK for name, tree in TREES.items()}
+    assert {name: names for name, names in lapack.items() if names} == {
+        "spectra": {"eigvalsh", "eigh", "solve"}}
 
 
 def test_only_the_package_root_imports_the_checked_path():
-    assert _eig_sym_importers() == {"__init__"}
+    importers = {name for name, tree in TREES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and any(a.name == "eig_sym" for a in node.names)}
+    assert importers == {"__init__"}
 
 
 def test_the_guard_sees_every_way_of_reaching_linalg():
