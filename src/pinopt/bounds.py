@@ -91,9 +91,18 @@ def upper_by_spectrum(g: Graph, l: int) -> float:
     return float(g.spectrum[l])
 
 
+def _closed_forms(grounded: GroundedLaplacian) -> tuple[int, int, Fraction]:
+    """The closed-form bounds on lambda1 of `grounded`, exactly: the least
+    boundary weight (below), the least uncontrolled degree and the mean
+    boundary weight cut(S) / (n - l) (above). The float of the mean is
+    its one correct rounding."""
+    w = grounded.weights
+    return int(w.min()), int(grounded.graph.degrees[grounded.keep].min()), Fraction(int(w.sum()), len(w))
+
+
 def upper_by_min_degree(g: Graph, s: Iterable[int]) -> float:
     """Minimum degree among uncontrolled nodes; lambda1 never exceeds it."""
-    return float(g.degrees[ground(g, s).keep].min())
+    return float(_closed_forms(ground(g, s))[1])
 
 
 def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
@@ -101,8 +110,8 @@ def boundary_bounds(g: Graph, s: Iterable[int]) -> tuple[float, float]:
 
     The min is a lower bound on lambda1, the mean an upper bound.
     """
-    w = ground(g, s).weights
-    return float(w.min()), float(w.mean())
+    lower, _, mean = _closed_forms(ground(g, s))
+    return float(lower), float(mean)
 
 
 def pin_set_ceilings(g: Graph, pins: np.ndarray) -> np.ndarray:
@@ -276,10 +285,10 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     """Smallest constant feedback gain that certifies synchronization.
 
     For coupling strength c and node-dynamics constant alpha with
-    c * lambda1(grounded) > alpha, any uniform pinned gain d above the
-    returned value makes c*(L + D) - alpha*I positive definite (D has
-    c*d at pinned diagonal entries), via the Schur complement on the
-    pinned block. The inner inverse is applied through a dense solve;
+    c * lambda1(grounded) > alpha, as ``criterion_holds`` decides it, any
+    uniform pinned gain d above the returned value makes c*(L + D) -
+    alpha*I positive definite (D has c*d at pinned diagonal entries), via
+    the Schur complement on the pinned block. The inner inverse is applied through a dense solve;
     no matrix inverse is formed. alpha and c must be finite, and so must
     the pinned block they give.
     """
@@ -290,7 +299,7 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
             raise ValueError(f"{name} must be finite, got {value}")
     pins = pin_set(g, s)
     grounded = ground(g, pins)
-    if c * grounded.lambda1 <= alpha:
+    if not criterion_holds(grounded, alpha, c):
         raise ValueError(
             "gain bound needs c * lambda1(grounded) > alpha; "
             f"got c*lambda1={c * grounded.lambda1:.6g} vs alpha={alpha:.6g}"
@@ -309,44 +318,32 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     return float((eigvals(block)[-1] + alpha) / c)
 
 
-def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
-    """`lam`, an eigensolve's lambda1 of `grounded`, clamped into that
-    grounding's bounds [lower_min_boundary, min(upper_kmin,
-    upper_avg_boundary)], and never -0.0.
+def _exact_lambda1(grounded: GroundedLaplacian, lam: float) -> Fraction | int:
+    """`lam`, an eigensolve's lambda1 of `grounded`, clamped exactly into
+    that grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``).
 
-    The exact lambda1 lies in that interval (the mean up to its one
-    rounding), so the clamp can only move an eigensolve that is a few
-    ulps off toward it, and where the bounds meet it gives the exact
-    value. This is the value the CLI prints; the searches compare the
-    raw eigensolves.
-    """
-    w = grounded.weights
-    upper = min(float(grounded.graph.degrees[grounded.keep].min()), float(w.mean()))
-    # + 0.0 turns -0.0 into 0.0 and leaves every other value alone
-    return min(max(lam, float(w.min())), upper) + 0.0
+    The exact lambda1 lies there, so the clamp can only move an eigensolve
+    that is a few ulps off toward it, and where the bounds meet it gives
+    the exact value."""
+    lower, kmin, mean = _closed_forms(grounded)
+    return min(max(Fraction(lam), lower), kmin, mean)
+
+
+def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
+    """``_exact_lambda1``, rounded once: the lambda1 the CLI prints. The
+    searches compare the raw eigensolves."""
+    return float(_exact_lambda1(grounded, lam))
 
 
 def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
-    """The criterion c * lambda1 > alpha on `grounded` (c > 0), decided by
-    the exact bounds wherever they can decide it.
-
-    It holds if c times the lower bound, the least boundary weight, is
-    above alpha, and fails if c times the upper bound min(min uncontrolled
-    degree, cut(S) / (n - l)) is at most alpha. Both comparisons are
-    exact, the bounds as integers and a Fraction, so neither an
-    eigensolve's last bits nor the rounding of the mean can flip them.
-    Between the bounds, or for a non-finite alpha or c, the eigensolve
-    decides, as c * lambda1 > alpha in floats.
-    """
+    """The criterion c * lambda1 > alpha on `grounded` (c > 0), for the
+    exactly clamped lambda1 (``_exact_lambda1``), compared exactly, so
+    that no rounding can flip it where the bounds decide it; for a
+    non-finite alpha or c, compared in floats."""
+    lam = _exact_lambda1(grounded, grounded.lambda1)
     if math.isfinite(alpha) and math.isfinite(c):
-        threshold = Fraction(alpha) / Fraction(c)
-        w = grounded.weights
-        if int(w.min()) > threshold:
-            return True
-        kmin = int(grounded.graph.degrees[grounded.keep].min())
-        if min(Fraction(kmin), Fraction(int(w.sum()), len(w))) <= threshold:
-            return False
-    return bool(c * grounded.lambda1 > alpha)
+        return lam * Fraction(c) > Fraction(alpha)
+    return bool(c * float(lam) > alpha)
 
 
 @dataclass(frozen=True)
@@ -375,13 +372,13 @@ def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) 
     # the full spectrum first: its eigensolve then never overlaps the grounded matrix in memory
     upper_spec = upper_by_spectrum(g, len(pins))
     grounded = ground(g, pins)
-    w = grounded.weights
+    lower, kmin, mean = _closed_forms(grounded)
     return BoundReport(
         lambda1=clamp_lambda1(grounded, grounded.lambda1),
-        lower_min_boundary=float(w.min()),
+        lower_min_boundary=float(lower),
         upper_spectrum=upper_spec,
-        upper_kmin=float(g.degrees[grounded.keep].min()),
-        upper_avg_boundary=float(w.mean()),
+        upper_kmin=float(kmin),
+        upper_avg_boundary=float(mean),
         upper_single_pin=upper_single_pin(g, pins[0]) if len(pins) == 1 else None,
         alpha_over_c=alpha_over_c,
         satisfied=None if alpha_over_c is None else criterion_holds(grounded, alpha_over_c),
