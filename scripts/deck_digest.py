@@ -95,6 +95,8 @@ OFFDECK_GRAPHS = {
     # K8 as text, so that no gen line moves the indices of the commands
     "k8": ("8\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n1 2\n1 3\n1 4\n1 5\n1 6\n1 7\n"
            "2 3\n2 4\n2 5\n2 6\n2 7\n3 4\n3 5\n3 6\n3 7\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"),
+    # the component 0-4-3-5 holds no pin when node 2 is pinned
+    "pinless": "6\n0 4\n1 2\n3 4\n3 5\n",
 }
 
 # The off-deck commands, split on spaces once each {graph} is a path.
@@ -154,6 +156,9 @@ OFFDECK = [
     # eigensolve lands a few ulps above it (K8) and below it (K30)
     "analyze {k8} --pins 2,6,1 --alpha-over-c 3",
     "analyze {k30} --pins 0,1,2 --alpha-over-c 3",
+    # lambda1 0 by structure, where the eigensolve lands a few ulps above it
+    "analyze {pinless} --pins 2 --alpha-over-c 0",
+    "select {pinless} --strategy degree_mix --l 1 --q 0 --runs 3",
 ]
 
 

@@ -60,7 +60,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, GroundedLaplacian, block_rows, check_l, ground, pin_set
+from .graphs import Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground, pin_set
 from .spectra import bottom_eigvecs, check_finite, eigvals, solve
 
 __all__ = [
@@ -150,6 +150,13 @@ RITZ_DEPTH = 4
 _EPS = float(np.finfo(float).eps)
 
 
+def _rounding_slack(g: Graph) -> float:
+    """4 n eps max(1, 2 dmax): how far rounding can move a Rayleigh
+    quotient of a grounding of `g`, whose eigenvalues 2 dmax bounds
+    (Gershgorin)."""
+    return 4.0 * g.n * _EPS * max(1.0, 2.0 * float(g.degrees.max(initial=0)))
+
+
 def ritz_block_rows(g: Graph, l: int) -> int:
     """The rows of l pins that ``ritz_ceilings`` takes per block: their
     temporaries, d + 5 n-vectors per row with the product's output, hold
@@ -182,7 +189,7 @@ def ritz_ceilings(g: Graph, pins: np.ndarray, start: np.ndarray) -> np.ndarray:
     lap = g.laplacian
     # 2 * dmax bounds every eigenvalue of M (Gershgorin)
     top = 2.0 * float(g.degrees.max(initial=0))
-    slack = 4.0 * n * _EPS * max(1.0, top)
+    slack = _rounding_slack(g)
 
     def times_m(x, keep):
         y = lap @ x
@@ -262,7 +269,7 @@ def after_pin_ceilings(g: Graph, y: np.ndarray, free: np.ndarray) -> np.ndarray:
     """
     ly, yy = g.laplacian @ y, y @ y
     yv = y[free]
-    slack = 16.0 * g.n * _EPS * max(1.0, 2.0 * float(g.degrees.max(initial=0.0)))
+    slack = 4.0 * _rounding_slack(g)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (y @ ly - 2.0 * yv * ly[free] + yv ** 2 * g.degrees[free]) / (yy - yv ** 2) + slack
     return np.where((yv ** 2 <= yy / 2.0) & np.isfinite(q), q, np.inf)
@@ -320,12 +327,19 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
 
 def _exact_lambda1(grounded: GroundedLaplacian, lam: float) -> Fraction | int:
     """`lam`, an eigensolve's lambda1 of `grounded`, clamped exactly into
-    that grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``).
+    that grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``),
+    and 0 where some component of the graph holds no pin.
 
     The exact lambda1 lies there, so the clamp can only move an eigensolve
     that is a few ulps off toward it, and where the bounds meet it gives
-    the exact value."""
+    the exact value. A pinless component is a block of the grounded
+    matrix with eigenvalue 0 exactly; it is looked for only where the
+    lower bound is 0 and `lam` is within ``_rounding_slack`` of it.
+    """
     lower, kmin, mean = _closed_forms(grounded)
+    g, keep = grounded.graph, grounded.keep
+    if lower == 0 and lam <= _rounding_slack(g) and any(keep[c].all() for c in connected_components(g)):
+        return 0
     return min(max(Fraction(lam), lower), kmin, mean)
 
 

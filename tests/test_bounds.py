@@ -7,6 +7,7 @@ import pinopt.bounds
 import pinopt.graphs
 from conftest import rand_connected, rand_pins
 from pinopt.bounds import (
+    _closed_forms,
     after_pin_ceilings,
     bottom_vector,
     bound_report,
@@ -91,9 +92,8 @@ def test_pin_set_ceilings_take_the_two_closed_form_bounds():
         for pins in (rows, rng.permuted(rows, axis=1)):
             got = pin_set_ceilings(g, pins)
             for row, ceiling in zip(pins, got):
-                _, avg = boundary_bounds(g, row)
-                want = min(upper_by_min_degree(g, row), avg)
-                assert ceiling == pytest.approx(want, abs=1e-12)
+                _, kmin, mean = _closed_forms(ground(g, row))
+                assert ceiling == float(min(kmin, mean))
                 assert lambda1(ground(g, row).matrix) <= ceiling + TOL
 
 
@@ -361,12 +361,22 @@ def test_printed_lambda1_is_the_closed_form_where_the_bounds_meet():
         assert leaf.lower_min_boundary <= leaf.lambda1 <= leaf.upper_avg_boundary
 
 
+# two components: 1-2, and 0-4-3-5, which holds no pin when node 2 is pinned
+PINLESS = "6\n0 4\n1 2\n3 4\n3 5\n"
+
+
 def test_printed_lambda1_is_zero_where_a_part_has_no_pin():
     g = pinopt.graphs.parse_edge_list(SPLIT)
     assert ground(g, [3]).lambda1 < 0.0  # the eigensolve lands below the exact 0
     for pins in ([3], [0, 5], [0, 3, 5]):
         rep = bound_report(g, pins)
         assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1), pins
+    # and here above it, under an upper bound of 1/5
+    g = pinopt.graphs.parse_edge_list(PINLESS)
+    assert ground(g, [2]).lambda1 > 0.0
+    rep = bound_report(g, [2], alpha_over_c=0.0)
+    assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1)
+    assert rep.satisfied is False
 
 
 def test_printed_lambda1_stays_inside_its_bounds():
@@ -395,6 +405,11 @@ def test_the_bounds_decide_the_verdict_where_they_can():
     # and on K30 a few ulps below it
     assert ground(k30, [0, 1, 2]).lambda1 < 3.0
     assert bound_report(k30, [0, 1, 2], alpha_over_c=float(np.nextafter(3.0, 0.0))).satisfied is True
+    # the gain bound's precondition is the same verdict
+    with pytest.raises(ValueError, match=r"gain bound needs c \* lambda1\(grounded\) > alpha; "
+                                         r"got c\*lambda1=3 vs alpha=3"):
+        feedback_gain_bound(k8, [1, 2, 6], 3.0, 1.0)
+    assert np.isfinite(feedback_gain_bound(k30, [0, 1, 2], 2.999999999999995, 1.0))
 
 
 def test_the_eigensolve_decides_the_verdict_between_the_bounds():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 import pinopt
 from pinopt import generators
-from pinopt.cli import SWEEP_COLUMNS, build_parser, main
+from pinopt.cli import CONTROLLERS, DYNAMICS, GEN_FLAGS, STRATEGIES, SWEEP_COLUMNS, build_parser, main
 from pinopt.graphs import MAX_NODES, format_edge_list
 
 
@@ -642,6 +643,116 @@ def test_negative_seed_is_a_usage_error(double_star_file, argv):
     assert res.stdout == ""
     assert f"argument {argv[-2]}: must be a non-negative integer" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# ---------------------------------------------------------------------- fuzz
+
+# float flag values at the edges of what a float holds, and past them
+EXTREMES = ["0", "-0.0", "5e-324", "1e-300", "1e300", "1.7976931348623157e308", "-1e308",
+            "nan", "inf", "-inf"]
+NOT_FINITE = re.compile("nan|inf", re.IGNORECASE)
+
+
+def _fuzz_graphs(rng):
+    """Edge-list texts of n <= 9 nodes: the edgeless and the complete graph
+    on each n, two graphs with a component of no pin to be, one with a
+    node out of range, and random graphs of every density."""
+    def text(n, p):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+    for n in range(1, 10):
+        yield text(n, 0.0)
+        yield text(n, 1.0)
+    yield "9\n0 1\n1 2\n3 4\n5 6\n6 7\n5 7\n"
+    yield "6\n0 4\n1 2\n3 4\n3 5\n"
+    yield "4\n0 1\n1 9\n"  # a data error
+    for _ in range(25):
+        yield text(int(rng.integers(2, 10)), rng.random())
+
+
+def _fuzz_argvs(rng, path, n):
+    """The argv of one run of every strategy (select, and sweep but for
+    dominating), of analyze, and of simulate under each dynamics and
+    controller, on the graph at `path` of n nodes, with flag values drawn
+    from small ranges and now and then from EXTREMES or past the limits."""
+    def num(lo, hi):
+        return str(rng.choice(EXTREMES)) if rng.random() < 0.15 else repr(float(rng.uniform(lo, hi)))
+
+    def count(hi):
+        return str(int(rng.integers(0, hi + 1)))
+
+    def pins():
+        # now and then every node, or one past the last
+        ids = rng.choice(n + (rng.random() < 0.1), size=int(rng.integers(1, n + 1)), replace=False)
+        return ",".join(map(str, ids))
+
+    for alpha in ([], ["--alpha-over-c", str(rng.choice(["0", "1", "2", "3", num(0.0, n)]))]):
+        yield ["analyze", path, "--pins", pins(), *alpha]
+    for strategy in STRATEGIES:
+        flags = {"degree_mix": ["--l", count(n), "--q", str(rng.choice(["0", "0.5", "1", num(0, 1)])),
+                                "--runs", count(3), "--seed", count(9)],
+                 "brute_force": ["--l", count(n), *(["--budget", count(200)] if rng.random() < 0.3 else [])],
+                 "dominating": ["--seed", count(9)]}.get(strategy, ["--l", count(n)])
+        yield ["select", path, "--strategy", strategy, *flags]
+        if strategy == "dominating":
+            continue
+        # the select flags but --l
+        lo = int(rng.integers(0, n + 1))
+        yield ["sweep", path, "--strategy", strategy, "--l-range", f"{lo}:{rng.integers(lo, n + 1)}",
+               *flags[2:], *(["--with-brute-force"] if rng.random() < 0.3 else [])]
+    for dynamics in DYNAMICS:
+        for controller in CONTROLLERS:
+            yield ["simulate", path, "--pins", pins(), "--dynamics", dynamics,
+                   *(["--a", num(-1.0, 2.0)] if dynamics == "linear_unstable" else []),
+                   "--controller", controller, "--c", num(0.1, 5.0),
+                   *(["--d", num(0.0, 10.0)] if controller == "linear" else ["--h", num(0.0, 5.0)]),
+                   "--T", str(rng.choice(["1", num(0.0, 2.0)])), "--dt", str(rng.choice(["0.05", num(0.0, 0.1)]))]
+
+
+def _fuzz_gen_argvs(rng):
+    """The argv of a few runs of every generator family, n <= 9."""
+    def flag(name):
+        if name == "p":
+            return str(rng.choice(EXTREMES)) if rng.random() < 0.2 else repr(float(rng.random()))
+        return str(int(rng.integers(0, {"n": 10, "k": 5, "m0": 6, "m": 5, "K": 7}[name])))
+
+    for family, (needs, reads) in GEN_FLAGS.items():
+        for _ in range(4):
+            yield ["gen", "--family", family,
+                   *(x for name in needs + reads for x in (f"--{name}", flag(name) if name != "seed" else "3"))]
+
+
+def test_seeded_cli_fuzz_exits_cleanly_and_prints_lambda1_inside_its_bounds(tmp_path):
+    rng = np.random.default_rng(2026)
+    runs, exits = [], set()
+    runs += [(argv, None) for argv in _fuzz_gen_argvs(rng)]
+    for i, text in enumerate(_fuzz_graphs(rng)):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text)
+        runs += [(argv, text) for argv in _fuzz_argvs(rng, str(path), int(text.split()[0]))]
+    for argv, text in runs:
+        res = run_cli(*argv)
+        where = (argv, text, res.stdout, res.stderr)
+        assert res.returncode in (0, 1, 2, 3), where
+        assert "Traceback" not in res.stderr, where
+        assert not NOT_FINITE.search(res.stdout), where
+        exits.add((argv[0], res.returncode))
+        if res.returncode != 0 or argv[0] not in ("analyze", "select"):
+            continue
+        rep = json.loads(res.stdout)
+        lam = rep["lambda1"]
+        for value in [lam, *rep.get("lambda1_runs", [])]:
+            assert value >= 0.0 and not np.signbit(value), where
+        if argv[0] == "analyze":
+            assert rep["lower_min_boundary"] <= lam <= min(rep["upper_kmin"], rep["upper_avg_boundary"]), where
+            alpha = rep["alpha_over_c"]
+            if alpha is not None and lam != alpha:
+                assert rep["satisfied"] is (lam > alpha), where
+    # every command both ran and was refused, and every exit code was seen
+    assert {c for c, code in exits if code == 0} == {"gen", "analyze", "select", "sweep", "simulate"}
+    assert {c for c, code in exits if code != 0} == {"gen", "analyze", "select", "sweep", "simulate"}
+    assert {code for _, code in exits} == {0, 1, 2, 3}
 
 
 # ------------------------------------------------- recorded byte-identical output
