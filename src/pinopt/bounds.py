@@ -42,9 +42,11 @@ later round starts from the last winner's bottom eigenvector, from one
 step of inverse iteration (``bottom_vector``), whose quotient with
 entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 
-The closed forms also settle what is printed: lambda1 is clamped into
-them (``clamp_lambda1``), and they decide the criterion c * lambda1 >
-alpha wherever they can (``criterion_holds``).
+The closed forms, computed once and exactly (``_closed_forms``), also
+settle what is printed: lambda1 is the eigensolve clamped exactly into
+them, or 0 where a component holds no pin (``clamp_lambda1``), and the
+criterion c * lambda1 > alpha, which the gain bound needs too, compares
+that clamp exactly (``criterion_holds``).
 
 Every solve here goes through the unchecked seam in ``spectra``, as
 the matrices are built here; the gain bound checks its scalars and its
@@ -151,9 +153,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _rounding_slack(g: Graph) -> float:
-    """4 n eps max(1, 2 dmax): how far rounding can move a Rayleigh
-    quotient of a grounding of `g`, whose eigenvalues 2 dmax bounds
-    (Gershgorin)."""
+    """4 n eps max(1, 2 dmax), how far rounding can move a Rayleigh quotient
+    of a grounding of `g`; 2 dmax bounds its eigenvalues (Gershgorin)."""
     return 4.0 * g.n * _EPS * max(1.0, 2.0 * float(g.degrees.max(initial=0)))
 
 
@@ -295,9 +296,9 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     c * lambda1(grounded) > alpha, as ``criterion_holds`` decides it, any
     uniform pinned gain d above the returned value makes c*(L + D) -
     alpha*I positive definite (D has c*d at pinned diagonal entries), via
-    the Schur complement on the pinned block. The inner inverse is applied through a dense solve;
-    no matrix inverse is formed. alpha and c must be finite, and so must
-    the pinned block they give.
+    the Schur complement on the pinned block. The inner inverse is
+    applied through a dense solve; no matrix inverse is formed. alpha and
+    c must be finite, and so must the pinned block they give.
     """
     if not c > 0:
         raise ValueError(f"coupling strength must be positive, got c={c}")

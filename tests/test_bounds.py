@@ -377,6 +377,8 @@ def test_printed_lambda1_is_zero_where_a_part_has_no_pin():
     rep = bound_report(g, [2], alpha_over_c=0.0)
     assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1)
     assert rep.satisfied is False
+    with pytest.raises(ValueError, match="gain bound needs"):
+        feedback_gain_bound(g, [2], 0.0, 1.0)
 
 
 def test_printed_lambda1_stays_inside_its_bounds():
