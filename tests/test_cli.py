@@ -697,8 +697,8 @@ def _fuzz_argvs(rng, path, n):
         yield ["select", path, "--strategy", strategy, *flags]
         if strategy == "dominating":
             continue
-        # the select flags but --l
         lo = int(rng.integers(0, n + 1))
+        # the select flags but --l
         yield ["sweep", path, "--strategy", strategy, "--l-range", f"{lo}:{rng.integers(lo, n + 1)}",
                *flags[2:], *(["--with-brute-force"] if rng.random() < 0.3 else [])]
     for dynamics in DYNAMICS:
@@ -725,8 +725,7 @@ def _fuzz_gen_argvs(rng):
 
 def test_seeded_cli_fuzz_exits_cleanly_and_prints_lambda1_inside_its_bounds(tmp_path):
     rng = np.random.default_rng(2026)
-    runs, exits = [], set()
-    runs += [(argv, None) for argv in _fuzz_gen_argvs(rng)]
+    runs, exits = [(argv, None) for argv in _fuzz_gen_argvs(rng)], set()
     for i, text in enumerate(_fuzz_graphs(rng)):
         path = tmp_path / f"g{i}.txt"
         path.write_text(text)
