@@ -159,6 +159,8 @@ OFFDECK = [
     # lambda1 0 by structure, where the eigensolve lands a few ulps above it
     "analyze {pinless} --pins 2 --alpha-over-c 0",
     "select {pinless} --strategy degree_mix --l 1 --q 0 --runs 3",
+    # upper_spectrum, 1 exactly, where the spectrum's eigensolve lands below lambda1
+    "analyze {star15} --pins 0",
 ]
 
 

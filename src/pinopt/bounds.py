@@ -42,11 +42,11 @@ later round starts from the last winner's bottom eigenvector, from one
 step of inverse iteration (``bottom_vector``), whose quotient with
 entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 
-The closed forms, computed once and exactly (``_closed_forms``), also
-settle what is printed: lambda1 is the eigensolve clamped exactly into
-them, or 0 where a component holds no pin (``clamp_lambda1``), and the
-criterion c * lambda1 > alpha, which the gain bound needs too, compares
-that clamp exactly (``criterion_holds``).
+A pin set's numbers come from its one grounding, solved and bounded once
+(``bound_report``, which reuses a search's solve): the exact closed forms
+(``_closed_forms``) and the eigensolve clamped exactly into them, or 0 where
+a component holds no pin (``_exact_lambda1``), which is the printed lambda1
+(``clamp_lambda1``) and decides c * lambda1 > alpha (``criterion_holds``).
 
 Every solve here goes through the unchecked seam in ``spectra``, as
 the matrices are built here; the gain bound checks its scalars and its
@@ -62,7 +62,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground, pin_set
+from .graphs import Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground
 from .spectra import bottom_eigvecs, check_finite, eigvals, solve
 
 __all__ = [
@@ -87,10 +87,13 @@ def upper_by_spectrum(g: Graph, l: int) -> float:
     """(l+1)-th smallest eigenvalue of the full Laplacian.
 
     Interlacing: deleting l rows/cols cannot push the smallest grounded
-    eigenvalue above this, whichever l nodes are pinned.
+    eigenvalue above this, whichever l nodes are pinned. It is 0.0 where
+    l is below the number of components, each one zero eigenvalue,
+    counted only where the eigensolve is within ``_rounding_slack`` of 0.
     """
     check_l(g, l)
-    return float(g.spectrum[l])
+    lam = float(g.spectrum[l])
+    return 0.0 if lam <= _rounding_slack(g) and l < len(connected_components(g)) else lam
 
 
 def _closed_forms(grounded: GroundedLaplacian) -> tuple[int, int, Fraction]:
@@ -305,20 +308,16 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     for name, value in (("alpha", alpha), ("c", c)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    pins = pin_set(g, s)
-    grounded = ground(g, pins)
+    grounded = ground(g, s)
     if not criterion_holds(grounded, alpha, c):
         raise ValueError(
             "gain bound needs c * lambda1(grounded) > alpha; "
-            f"got c*lambda1={c * grounded.lambda1:.6g} vs alpha={alpha:.6g}"
+            f"got c*lambda1={c * clamp_lambda1(grounded):.6g} vs alpha={alpha:.6g}"
         )
-    lap = g.laplacian
-    p = np.array(pins, dtype=np.int64)
-    r = np.flatnonzero(grounded.keep)
-    l_pp = lap[np.ix_(p, p)]
-    l_pr = lap[np.ix_(p, r)]
+    lap, keep = g.laplacian, grounded.keep
+    l_pp, l_pr = lap[np.ix_(~keep, ~keep)], lap[np.ix_(~keep, keep)]
     # Schur block: c^2 * L_pr (c*L_rr - alpha I)^{-1} L_rp - c*L_pp
-    core = c * grounded.matrix - alpha * np.eye(len(r))
+    core = c * grounded.matrix - alpha * np.eye(l_pr.shape[1])
     solved = solve(core, l_pr.T)
     block = c * c * (l_pr @ solved) - c * l_pp
     block = (block + block.T) / 2.0
@@ -326,49 +325,52 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     return float((eigvals(block)[-1] + alpha) / c)
 
 
-def _exact_lambda1(grounded: GroundedLaplacian, lam: float) -> Fraction | int:
-    """`lam`, an eigensolve's lambda1 of `grounded`, clamped exactly into
-    that grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``),
-    and 0 where some component of the graph holds no pin.
+def _exact_lambda1(grounded: GroundedLaplacian, lam: float | None = None) -> tuple:
+    """(clamp, lower, kmin, mean): `lam`, an eigensolve's lambda1 of
+    `grounded` (solved here when None), clamped exactly into that
+    grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``), or 0
+    where some component of the graph holds no pin.
 
     The exact lambda1 lies there, so the clamp can only move an eigensolve
-    that is a few ulps off toward it, and where the bounds meet it gives
-    the exact value. A pinless component is a block of the grounded
-    matrix with eigenvalue 0 exactly; it is looked for only where the
-    lower bound is 0 and `lam` is within ``_rounding_slack`` of it.
+    that is a few ulps off toward it, and gives a clamped value back. A
+    pinless component is a block of the grounded matrix with eigenvalue 0
+    exactly; it is looked for only where the lower bound is 0 and `lam`
+    is within ``_rounding_slack`` of it.
     """
-    lower, kmin, mean = _closed_forms(grounded)
-    g, keep = grounded.graph, grounded.keep
+    lower, kmin, mean = forms = _closed_forms(grounded)
+    g, keep, lam = grounded.graph, grounded.keep, grounded.lambda1 if lam is None else lam
     if lower == 0 and lam <= _rounding_slack(g) and any(keep[c].all() for c in connected_components(g)):
-        return 0
-    return min(max(Fraction(lam), lower), kmin, mean)
+        return (0, *forms)
+    return (min(max(Fraction(lam), lower), kmin, mean), *forms)
 
 
-def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
+def clamp_lambda1(grounded: GroundedLaplacian, lam: float | None = None) -> float:
     """``_exact_lambda1``, rounded once: the lambda1 the CLI prints. The
     searches compare the raw eigensolves."""
-    return float(_exact_lambda1(grounded, lam))
+    return float(_exact_lambda1(grounded, lam)[0])
 
 
-def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
-    """The criterion c * lambda1 > alpha on `grounded` (c > 0), for the
-    exactly clamped lambda1 (``_exact_lambda1``), compared exactly, so
-    that no rounding can flip it where the bounds decide it; for a
-    non-finite alpha or c, compared in floats."""
-    lam = _exact_lambda1(grounded, grounded.lambda1)
+def _exceeds(lam: Fraction | int, alpha: float, c: float) -> bool:
+    """c * lam > alpha for an exact lam: exactly for finite alpha and c, so
+    that rounding cannot flip it where the bounds decide it, else in floats."""
     if math.isfinite(alpha) and math.isfinite(c):
         return lam * Fraction(c) > Fraction(alpha)
     return bool(c * float(lam) > alpha)
+
+
+def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
+    """c * lambda1 > alpha (c > 0) for `grounded`'s exact lambda1 (``_exact_lambda1``)."""
+    return _exceeds(_exact_lambda1(grounded)[0], alpha, c)
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """All bounds for one (graph, pin set) pair, plus the exact lambda1.
 
-    lambda1 is the eigensolve clamped into the bounds
-    (``clamp_lambda1``). upper_single_pin is populated only when l == 1;
-    satisfied is the criterion lambda1 > alpha_over_c
-    (``criterion_holds``), populated only when a threshold was given.
+    lambda1 is the eigensolve clamped into the bounds (``clamp_lambda1``),
+    and upper_spectrum (``upper_by_spectrum``) is never below it. upper_single_pin
+    is populated only when l == 1; satisfied is the criterion lambda1 >
+    alpha_over_c (``criterion_holds``), populated only when a threshold was given.
     """
 
     lambda1: float
@@ -381,20 +383,23 @@ class BoundReport:
     satisfied: bool | None
 
 
-def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None) -> BoundReport:
-    """Evaluate lambda1 and every applicable bound for one pin set."""
-    pins = pin_set(g, s)
+def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None,
+                 lambda1: float | None = None) -> BoundReport:
+    """lambda1 and every applicable bound for one pin set, from one grounding
+    clamped once; `lambda1` is a search's eigensolve of it, else solved here."""
+    grounded = ground(g, s)
+    pins = np.flatnonzero(~grounded.keep)
     # the full spectrum first: its eigensolve then never overlaps the grounded matrix in memory
     upper_spec = upper_by_spectrum(g, len(pins))
-    grounded = ground(g, pins)
-    lower, kmin, mean = _closed_forms(grounded)
+    exact, lower, kmin, mean = _exact_lambda1(grounded, lambda1)
+    lam = float(exact)
     return BoundReport(
-        lambda1=clamp_lambda1(grounded, grounded.lambda1),
+        lambda1=lam,
         lower_min_boundary=float(lower),
-        upper_spectrum=upper_spec,
+        upper_spectrum=max(upper_spec, lam),
         upper_kmin=float(kmin),
         upper_avg_boundary=float(mean),
         upper_single_pin=upper_single_pin(g, pins[0]) if len(pins) == 1 else None,
         alpha_over_c=alpha_over_c,
-        satisfied=None if alpha_over_c is None else criterion_holds(grounded, alpha_over_c),
+        satisfied=None if alpha_over_c is None else _exceeds(exact, alpha_over_c, 1.0),
     )

@@ -259,17 +259,16 @@ def sweep_rows(
         for q in q_list:
             if strategy == "degree_mix":
                 cfg = configs[l, q]
-                pin_sets = [strat_mod.degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
-            elif strategy == "brute_force":  # its own search is the brute column's search
-                pin_sets = [brute.pin_set]
-            else:
-                pin_sets = [STRATEGIES[strategy][2](g, l, **flags).pin_set]
-            # one report per pin set, each freeing its grounding on return
-            reports = [bounds_mod.bound_report(g, pins) for pins in pin_sets]
+                # one report per pin set, each freeing its grounding on return
+                reports = [bounds_mod.bound_report(g, strat_mod.degree_mix_pins(g, cfg, r))
+                           for r in range(cfg.runs)]
+            else:  # brute force's search is the brute column's; its report reuses its solve
+                picked = brute if strategy == "brute_force" else STRATEGIES[strategy][2](g, l, **flags)
+                reports = [bounds_mod.bound_report(g, picked.pin_set, lambda1=picked.lambda1)]
             lams = [r.lambda1 for r in reports]
-            # upper_spectrum depends on l alone; the columns after it are
-            # BoundReport fields, averaged over the runs
-            values = [l, q, float(np.mean(lams)), float(np.std(lams)), reports[0].upper_spectrum]
+            mean = float(np.mean(lams))
+            # upper_spectrum bounds every run's lambda1 and their mean, which can round above them
+            values = [l, q, mean, float(np.std(lams)), max(mean, *(r.upper_spectrum for r in reports))]
             values += [float(np.mean([getattr(r, col) for r in reports])) for col in SWEEP_COLUMNS[5:]]
             row = dict(zip(SWEEP_COLUMNS, values))
             if with_brute:

@@ -72,14 +72,12 @@ class SelectionResult:
     lambda1_runs: tuple[float, ...]
 
 
-def _result(g: Graph, strategy: str, pins, lam: float, seed: int | None = None) -> SelectionResult:
-    """The result of a strategy that picks one set, of lambda1 `lam` (an
-    eigensolve), which it reports clamped into the set's bounds."""
-    pins = tuple(int(v) for v in pins)
-    # the pins are valid, so the grounding is built without ground's checks
-    keep = np.ones(g.n, dtype=bool)
-    keep[list(pins)] = False
-    lam = clamp_lambda1(GroundedLaplacian(g, keep), lam)
+def _result(strategy: str, grounded: GroundedLaplacian, lam: float | None = None,
+            seed: int | None = None) -> SelectionResult:
+    """The result of a strategy that picks the pins of `grounded`: `lam`, its
+    eigensolve (solved here when None), clamped into the set's bounds."""
+    lam = clamp_lambda1(grounded, lam)
+    pins = tuple(np.flatnonzero(~grounded.keep).tolist())
     return SelectionResult(strategy=strategy, l=len(pins), q=None, seed=seed,
                            pin_set=pins, lambda1=lam, lambda1_runs=(lam,))
 
@@ -111,8 +109,7 @@ def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     ties are broken. Each run's lambda1 is clamped into its set's bounds.
     """
     pin_sets = [degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
-    runs = tuple(clamp_lambda1(grounded, grounded.lambda1)
-                 for grounded in (ground(g, pins) for pins in pin_sets))
+    runs = tuple(clamp_lambda1(ground(g, pins)) for pins in pin_sets)
     return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
                            pin_set=pin_sets[0], lambda1=float(np.mean(runs)), lambda1_runs=runs)
 
@@ -204,8 +201,7 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     for _ in range(l):
         top = bc[left].max()
         left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
-    pins = np.flatnonzero(~left)
-    return _result(g, "betweenness", pins, ground(g, pins).lambda1)
+    return _result("betweenness", ground(g, np.flatnonzero(~left)))
 
 
 def _partition_sweep(g: Graph, nbrs: list[list[int]], active: set[int], rng) -> set[int]:
@@ -262,7 +258,7 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
             for v in slate:
                 active.difference_update(nbrs[v])
         if len(pins) < g.n:
-            return _result(g, "dominating_partition", sorted(pins), ground(g, pins).lambda1, seed)
+            return _result("dominating_partition", ground(g, pins), seed=seed)
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
@@ -352,7 +348,7 @@ def brute_force_max_lambda1(
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
     win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
-    return _result(g, "brute_force", combos[win], lam)
+    return _result("brute_force", ground(g, combos[win]), lam)
 
 
 def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
@@ -392,4 +388,4 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         vals.append(val)
         free = np.delete(free, win)
     # round l solved the grounding of exactly this set
-    return _result(g, "greedy", sorted(picks[:l]), vals[l - 1])
+    return _result("greedy", ground(g, picks[:l]), vals[l - 1])

@@ -317,12 +317,30 @@ def test_bound_report_fields():
     assert abs(rep.lambda1 - 1.0) < TOL
     assert rep.lower_min_boundary == 1.0
     assert rep.upper_kmin == upper_by_min_degree(g, pins)
-    assert rep.upper_spectrum == upper_by_spectrum(g, 2)
+    # interlacing bounds lambda1, here 1 exactly as the clamp prints it;
+    # the spectrum's eigensolve may land an ulp below
+    assert rep.upper_spectrum == max(upper_by_spectrum(g, 2), rep.lambda1)
     assert rep.upper_single_pin is None
     assert rep.satisfied is True
     one = bound_report(g, [0])
     assert one.upper_single_pin == upper_single_pin(g, 0)
     assert one.alpha_over_c is None and one.satisfied is None
+
+
+def test_a_report_normalises_solves_and_bounds_its_pin_set_once(monkeypatch):
+    g = rand_connected(np.random.default_rng(29), 40, extra=60)
+    g.spectrum  # the graph's own solve, shared by every report
+    calls = {}
+    # pin_set in bounds too, where a report that imports it normalises its pins itself
+    for module, name in ((pinopt.bounds, "_closed_forms"), (pinopt.bounds, "_exact_lambda1"),
+                         (pinopt.graphs, "pin_set"), (pinopt.bounds, "pin_set"), (np.linalg, "eigvalsh")):
+        if hasattr(module, name):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    bound_report(g, [9, 0, 5, 9], alpha_over_c=0.3)
+    assert calls == {"_closed_forms": 1, "_exact_lambda1": 1, "pin_set": 1, "eigvalsh": 1}
 
 
 def test_bound_report_json_keys_stable(tmp_path, capsys):
@@ -371,13 +389,17 @@ def test_printed_lambda1_is_zero_where_a_part_has_no_pin():
     for pins in ([3], [0, 5], [0, 3, 5]):
         rep = bound_report(g, pins)
         assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1), pins
+        # fewer pins than its four components: the Laplacian's (l+1)-th eigenvalue is 0
+        assert rep.upper_spectrum == 0.0 and not np.signbit(rep.upper_spectrum), pins
     # and here above it, under an upper bound of 1/5
     g = pinopt.graphs.parse_edge_list(PINLESS)
     assert ground(g, [2]).lambda1 > 0.0
     rep = bound_report(g, [2], alpha_over_c=0.0)
     assert rep.lambda1 == 0.0 and not np.signbit(rep.lambda1)
+    assert rep.upper_spectrum == 0.0
     assert rep.satisfied is False
-    with pytest.raises(ValueError, match="gain bound needs"):
+    # the refusal prints the clamp that decided it, not the eigensolve
+    with pytest.raises(ValueError, match=r"gain bound needs .* got c\*lambda1=0 vs alpha=0$"):
         feedback_gain_bound(g, [2], 0.0, 1.0)
 
 
@@ -389,7 +411,7 @@ def test_printed_lambda1_stays_inside_its_bounds():
         g = build_graph(n, edges)
         rep = bound_report(g, rand_pins(rng, n, int(rng.integers(1, n))))
         assert rep.lower_min_boundary <= rep.lambda1
-        assert rep.lambda1 <= min(rep.upper_kmin, rep.upper_avg_boundary)
+        assert rep.lambda1 <= min(rep.upper_kmin, rep.upper_avg_boundary, rep.upper_spectrum)
         assert not np.signbit(rep.lambda1)
 
 

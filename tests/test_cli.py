@@ -15,7 +15,9 @@ import pytest
 
 import pinopt
 from pinopt import generators
-from pinopt.cli import CONTROLLERS, DYNAMICS, GEN_FLAGS, STRATEGIES, SWEEP_COLUMNS, build_parser, main
+from pinopt.cli import (
+    CONTROLLERS, DYNAMICS, GEN_FLAGS, STRATEGIES, SWEEP_COLUMNS, build_parser, main, sweep_rows,
+)
 from pinopt.graphs import MAX_NODES, format_edge_list
 
 
@@ -222,7 +224,7 @@ def test_sweep_csv_shape_and_bounds(double_star_file, tmp_path):
         vals = dict(zip(SWEEP_COLUMNS, line.split(",")))
         lam = float(vals["lambda1_mean"])
         assert float(vals["lower_min_boundary"]) <= lam + 1e-9
-        assert lam <= float(vals["upper_spectrum"]) + 1e-9
+        assert lam <= float(vals["upper_spectrum"])
         assert lam <= float(vals["upper_kmin"]) + 1e-9
         assert lam <= float(vals["upper_avg_boundary"]) + 1e-9
 
@@ -276,6 +278,39 @@ def test_sweep_computes_betweenness_once_per_graph(tmp_path, monkeypatch, capsys
         singles.append(capsys.readouterr().out.splitlines())
     assert len(kept) == 6
     assert swept.splitlines() == singles[0][:1] + [lines[1] for lines in singles]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "betweenness", "--l-range", "1:8"],
+    ["--strategy", "greedy", "--l-range", "1:8"],
+    ["--strategy", "brute_force", "--l-range", "1:2"],
+    ["--strategy", "betweenness", "--l-range", "1:2", "--with-brute-force"],
+    ["--strategy", "greedy", "--l-range", "1:2", "--with-brute-force"],
+], ids=["betweenness", "greedy", "brute_force", "betweenness_with_brute", "greedy_with_brute"])
+def test_a_searched_sweep_solves_nothing_its_searches_did_not(tmp_path, monkeypatch, argv):
+    path = tmp_path / "ba.txt"
+    path.write_text(format_edge_list(generators.gen_ba(200, 3, 2, 1)))
+    depth, outside = [0], []
+    for name in ("select_betweenness", "greedy_max_lambda1", "brute_force_max_lambda1"):
+        def within(*args, _search=getattr(pinopt.strategies, name), **kwargs):
+            depth[0] += 1
+            try:
+                return _search(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(pinopt.strategies, name, within)
+    real = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        if not depth[0]:
+            outside.append(m.shape)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["sweep", str(path), *argv]) == 0
+    # each row reports its search's own solve; the one solve outside the
+    # searches is the Laplacian's spectrum, for upper_spectrum
+    assert outside == [(200, 200)]
 
 
 def test_sweep_runs_each_greedy_round_once_per_graph(tmp_path, monkeypatch, capsys):
@@ -730,6 +765,12 @@ def test_seeded_cli_fuzz_exits_cleanly_and_prints_lambda1_inside_its_bounds(tmp_
         path = tmp_path / f"g{i}.txt"
         path.write_text(text)
         runs += [(argv, text) for argv in _fuzz_argvs(rng, str(path), int(text.split()[0]))]
+    # star-20 pinned at its hub: lambda1 and upper_spectrum are both 1 exactly,
+    # and the spectrum's eigensolve lands below 1
+    star = format_edge_list(generators.gen_star(20))
+    path = tmp_path / "star20.txt"
+    path.write_text(star)
+    runs.append((["analyze", str(path), "--pins", "0"], star))
     for argv, text in runs:
         res = run_cli(*argv)
         where = (argv, text, res.stdout, res.stderr)
@@ -737,6 +778,11 @@ def test_seeded_cli_fuzz_exits_cleanly_and_prints_lambda1_inside_its_bounds(tmp_
         assert "Traceback" not in res.stderr, where
         assert not NOT_FINITE.search(res.stdout), where
         exits.add((argv[0], res.returncode))
+        if res.returncode == 0 and argv[0] == "sweep":
+            lines = res.stdout.splitlines()
+            for line in lines[1:]:
+                row = dict(zip(lines[0].split(","), line.split(",")))
+                assert float(row["lambda1_mean"]) <= float(row["upper_spectrum"]), where
         if res.returncode != 0 or argv[0] not in ("analyze", "select"):
             continue
         rep = json.loads(res.stdout)
@@ -745,9 +791,13 @@ def test_seeded_cli_fuzz_exits_cleanly_and_prints_lambda1_inside_its_bounds(tmp_
             assert value >= 0.0 and not np.signbit(value), where
         if argv[0] == "analyze":
             assert rep["lower_min_boundary"] <= lam <= min(rep["upper_kmin"], rep["upper_avg_boundary"]), where
+            assert lam <= rep["upper_spectrum"], where
             alpha = rep["alpha_over_c"]
             if alpha is not None and lam != alpha:
                 assert rep["satisfied"] is (lam > alpha), where
+    # a sweep's rows at full precision, as the CSV's 10 digits hide an ulp
+    for row in sweep_rows(generators.gen_star(20), "betweenness", range(1, 4)):
+        assert row["lambda1_mean"] <= row["upper_spectrum"], row
     # every command both ran and was refused, and every exit code was seen
     assert {c for c, code in exits if code == 0} == {"gen", "analyze", "select", "sweep", "simulate"}
     assert {c for c, code in exits if code != 0} == {"gen", "analyze", "select", "sweep", "simulate"}
