@@ -161,6 +161,8 @@ OFFDECK = [
     "select {pinless} --strategy degree_mix --l 1 --q 0 --runs 3",
     # upper_spectrum, 1 exactly, where the spectrum's eigensolve lands below lambda1
     "analyze {star15} --pins 0",
+    # a degree-mix selection averaged over several tie-breaking runs
+    "select {ba300} --strategy degree_mix --l 30 --q 0.5 --runs 5 --seed 3",
 ]
 
 

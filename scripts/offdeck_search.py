@@ -30,13 +30,17 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# name -> (graph expression over pinopt.generators and pinopt, strategy, l,
-# brute-force budget or None)
+# name -> (graph expression over pinopt.generators, build_graph, combinations
+# and pinopt, strategy, l, brute-force budget or None)
 CASES = {
     "ring_lattice_200_l2": ("gen_nw(200, 4, 0.0, 0)", "brute_force", 2, None),
     "dolphins_l4": ("pinopt.load_dolphins()", "brute_force", 4, None),
     "complete_30_l3": ("gen_complete(30)", "brute_force", 3, None),
     "ba_400_l3": ("gen_ba(400, 3, 3, 0)", "brute_force", 3, 11_000_000),
+    # K20 with pendant nodes 20, 21, 22 on nodes 0, 1, 2: the one case where the
+    # min-degree ceiling binds, on 99,807 of the 100,947 sets
+    "complete_20_pendants_l6": ("build_graph(23, [*combinations(range(20), 2), (0, 20), (1, 21), (2, 22)])",
+                                "brute_force", 6, None),
     # greedy on large sparse graphs, where the dense Laplacian product is weakest
     "nw_1000_greedy_l3": ("gen_nw(1000, 4, 0.01, 0)", "greedy", 3, None),
     "ba_1000_greedy_l3": ("gen_ba(1000, 3, 3, 0)", "greedy", 3, None),
@@ -95,8 +99,10 @@ def run_case(name: str) -> dict:
     import pinopt
     import pinopt.bounds
     import pinopt.strategies as strategies
+    from itertools import combinations  # noqa: F401 (used by eval)
+
     from pinopt.generators import gen_ba, gen_complete, gen_nw  # noqa: F401 (used by eval)
-    from pinopt.graphs import Graph
+    from pinopt.graphs import Graph, build_graph  # noqa: F401 (build_graph used by eval)
 
     expr, strategy, l, budget = CASES[name]
     g = eval(expr)

@@ -42,11 +42,11 @@ later round starts from the last winner's bottom eigenvector, from one
 step of inverse iteration (``bottom_vector``), whose quotient with
 entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
 
-A pin set's numbers come from its one grounding, solved and bounded once
-(``bound_report``, which reuses a search's solve): the exact closed forms
-(``_closed_forms``) and the eigensolve clamped exactly into them, or 0 where
-a component holds no pin (``_exact_lambda1``), which is the printed lambda1
-(``clamp_lambda1``) and decides c * lambda1 > alpha (``criterion_holds``).
+A pin set's numbers come from a run, a grounding and the eigensolve given
+for it: the exact closed forms (``_closed_forms``) and that solve clamped
+exactly into them, or 0 where a component holds no pin (``_exact_lambda1``),
+which is the printed lambda1 (``clamp_lambda1``) and decides c * lambda1 >
+alpha (``criterion_holds``, which passes ``grounded.lambda1``).
 
 Every solve here goes through the unchecked seam in ``spectra``, as
 the matrices are built here; the gain bound checks its scalars and its
@@ -312,7 +312,7 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     if not criterion_holds(grounded, alpha, c):
         raise ValueError(
             "gain bound needs c * lambda1(grounded) > alpha; "
-            f"got c*lambda1={c * clamp_lambda1(grounded):.6g} vs alpha={alpha:.6g}"
+            f"got c*lambda1={c * clamp_lambda1(grounded, grounded.lambda1):.6g} vs alpha={alpha:.6g}"
         )
     lap, keep = g.laplacian, grounded.keep
     l_pp, l_pr = lap[np.ix_(~keep, ~keep)], lap[np.ix_(~keep, keep)]
@@ -325,11 +325,10 @@ def feedback_gain_bound(g: Graph, s: Iterable[int], alpha: float, c: float) -> f
     return float((eigvals(block)[-1] + alpha) / c)
 
 
-def _exact_lambda1(grounded: GroundedLaplacian, lam: float | None = None) -> tuple:
+def _exact_lambda1(grounded: GroundedLaplacian, lam: float) -> tuple:
     """(clamp, lower, kmin, mean): `lam`, an eigensolve's lambda1 of
-    `grounded` (solved here when None), clamped exactly into that
-    grounding's bounds [lower, min(kmin, mean)] (``_closed_forms``), or 0
-    where some component of the graph holds no pin.
+    `grounded`, clamped exactly into its bounds [lower, min(kmin, mean)]
+    (``_closed_forms``), or 0 where some component holds no pin.
 
     The exact lambda1 lies there, so the clamp can only move an eigensolve
     that is a few ulps off toward it, and gives a clamped value back. A
@@ -338,15 +337,15 @@ def _exact_lambda1(grounded: GroundedLaplacian, lam: float | None = None) -> tup
     is within ``_rounding_slack`` of it.
     """
     lower, kmin, mean = forms = _closed_forms(grounded)
-    g, keep, lam = grounded.graph, grounded.keep, grounded.lambda1 if lam is None else lam
+    g, keep = grounded.graph, grounded.keep
     if lower == 0 and lam <= _rounding_slack(g) and any(keep[c].all() for c in connected_components(g)):
         return (0, *forms)
     return (min(max(Fraction(lam), lower), kmin, mean), *forms)
 
 
-def clamp_lambda1(grounded: GroundedLaplacian, lam: float | None = None) -> float:
-    """``_exact_lambda1``, rounded once: the lambda1 the CLI prints. The
-    searches compare the raw eigensolves."""
+def clamp_lambda1(grounded: GroundedLaplacian, lam: float) -> float:
+    """``_exact_lambda1`` of `lam`, an eigensolve of `grounded`, rounded
+    once: the lambda1 the CLI prints. The searches compare the raw eigensolves."""
     return float(_exact_lambda1(grounded, lam)[0])
 
 
@@ -360,7 +359,7 @@ def _exceeds(lam: Fraction | int, alpha: float, c: float) -> bool:
 
 def criterion_holds(grounded: GroundedLaplacian, alpha: float, c: float = 1.0) -> bool:
     """c * lambda1 > alpha (c > 0) for `grounded`'s exact lambda1 (``_exact_lambda1``)."""
-    return _exceeds(_exact_lambda1(grounded)[0], alpha, c)
+    return _exceeds(_exact_lambda1(grounded, grounded.lambda1)[0], alpha, c)
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ def bound_report(g: Graph, s: Iterable[int], alpha_over_c: float | None = None,
     pins = np.flatnonzero(~grounded.keep)
     # the full spectrum first: its eigensolve then never overlaps the grounded matrix in memory
     upper_spec = upper_by_spectrum(g, len(pins))
-    exact, lower, kmin, mean = _exact_lambda1(grounded, lambda1)
+    exact, lower, kmin, mean = _exact_lambda1(grounded, grounded.lambda1 if lambda1 is None else lambda1)
     lam = float(exact)
     return BoundReport(
         lambda1=lam,

@@ -242,9 +242,11 @@ def sweep_rows(
 ) -> list[dict]:
     """One dict per (l, q) cell, q None but for degree_mix, whose cells
     each take the tie-breaking runs of StrategyConfig(l, q, **flags).
-    Bound columns are averaged over the same runs as lambda1_mean, so
-    every row keeps lower_min_boundary <= lambda1_mean <= each upper
-    column. `budget` bounds the brute-force searches."""
+    A cell's runs, (pin set, its search's solve or None), are reported
+    by ``bounds.bound_report``, which solves the None ones. Bound columns
+    are averaged over the runs as lambda1_mean is, so every row keeps
+    lower_min_boundary <= lambda1_mean <= each upper column. `budget`
+    bounds the brute-force searches."""
     searched = with_brute or strategy == "brute_force"
     # every cell, in order, before the first solve: C(n, l) is not monotone in l
     for l in ls:
@@ -259,12 +261,11 @@ def sweep_rows(
         for q in q_list:
             if strategy == "degree_mix":
                 cfg = configs[l, q]
-                # one report per pin set, each freeing its grounding on return
-                reports = [bounds_mod.bound_report(g, strat_mod.degree_mix_pins(g, cfg, r))
-                           for r in range(cfg.runs)]
-            else:  # brute force's search is the brute column's; its report reuses its solve
+                runs = [(strat_mod.degree_mix_pins(g, cfg, r), None) for r in range(cfg.runs)]
+            else:  # brute force's search is the brute column's
                 picked = brute if strategy == "brute_force" else STRATEGIES[strategy][2](g, l, **flags)
-                reports = [bounds_mod.bound_report(g, picked.pin_set, lambda1=picked.lambda1)]
+                runs = [(picked.pin_set, picked.lambda1)]
+            reports = [bounds_mod.bound_report(g, pins, lambda1=lam) for pins, lam in runs]
             lams = [r.lambda1 for r in reports]
             mean = float(np.mean(lams))
             # upper_spectrum bounds every run's lambda1 and their mean, which can round above them

@@ -199,6 +199,8 @@ def _edge_rows(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarra
         return arr[:, :2].astype(np.int64, copy=False)
     pairs = []
     for e in edges:
+        if len(e) < 2:
+            raise ValueError(f"edge {e!r} needs two node ids")
         u, v = int(e[0]), int(e[1])
         _check_edge(n, u, v)
         pairs.append((u, v))
@@ -271,8 +273,8 @@ class GroundedLaplacian:
     `graph`; row/col i of `matrix` is the i-th of them in ascending id.
     `weights[i]` counts that node's pinned neighbors; the matrix equals
     the Laplacian of the induced uncontrolled subgraph plus
-    diag(weights). Everything is computed on first use. Build instances
-    through :func:`ground`, which validates the pins.
+    diag(weights). Everything is computed on first use; `lambda1` solves
+    a block it does not keep. Build instances through :func:`ground`.
     """
 
     graph: Graph = field(repr=False)
@@ -291,8 +293,8 @@ class GroundedLaplacian:
 
     @cached_property
     def lambda1(self) -> float:
-        """Smallest eigenvalue of `matrix`."""
-        return float(eigvals(self.matrix)[0])
+        """Smallest eigenvalue of `matrix`, from a block it does not keep."""
+        return float(eigvals(_block(self.graph, self.keep))[0])
 
 
 def ground(g: Graph, s: Iterable[int]) -> GroundedLaplacian:

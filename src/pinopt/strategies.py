@@ -1,10 +1,10 @@
 """Pin-set selection strategies and exhaustive/greedy maximizers.
 
-Every strategy returns a SelectionResult whose lambda1 is the smallest
-eigenvalue of the grounded Laplacian for the selected set (averaged
-over tie-breaking runs where the strategy is randomized), each
-eigensolve clamped into its set's bounds (``bounds.clamp_lambda1``).
-The searches compare the raw eigensolves.
+Every SelectionResult is built by ``_result`` from runs, each a grounding
+and its eigensolve, written where it is made (``grounded.lambda1``, or a
+search's stacked solve) and clamped into its set's bounds
+(``bounds.clamp_lambda1``); lambda1 is their mean, over degree mix's
+tie-breaking runs. The searches compare the raw eigensolves.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ class SelectionResult:
     lambda1_runs: tuple[float, ...]
 
 
-def _result(strategy: str, grounded: GroundedLaplacian, lam: float | None = None,
-            seed: int | None = None) -> SelectionResult:
-    """The result of a strategy that picks the pins of `grounded`: `lam`, its
-    eigensolve (solved here when None), clamped into the set's bounds."""
-    lam = clamp_lambda1(grounded, lam)
-    pins = tuple(np.flatnonzero(~grounded.keep).tolist())
-    return SelectionResult(strategy=strategy, l=len(pins), q=None, seed=seed,
-                           pin_set=pins, lambda1=lam, lambda1_runs=(lam,))
+def _result(strategy: str, q: float | None, seed: int | None,
+            runs: list[tuple[GroundedLaplacian, float]]) -> SelectionResult:
+    """The result of `runs`, (grounding, its eigensolve) pairs, the first the
+    set reported; one run's mean is its clamped solve, bit for bit."""
+    lams = tuple(clamp_lambda1(grounded, lam) for grounded, lam in runs)
+    pins = tuple(np.flatnonzero(~runs[0][0].keep).tolist())
+    return SelectionResult(strategy=strategy, l=len(pins), q=q, seed=seed,
+                           pin_set=pins, lambda1=float(np.mean(lams)), lambda1_runs=lams)
 
 
 def degree_mix_pins(g: Graph, cfg: StrategyConfig, run: int) -> tuple[int, ...]:
@@ -105,13 +105,9 @@ def degree_mix_pins(g: Graph, cfg: StrategyConfig, run: int) -> tuple[int, ...]:
 def select_degree_mix(g: Graph, cfg: StrategyConfig) -> SelectionResult:
     """Degree-mix selection, lambda1 averaged over cfg.runs tie-break runs.
 
-    The run-0 set is the one reported; runs differ only in how degree
-    ties are broken. Each run's lambda1 is clamped into its set's bounds.
-    """
-    pin_sets = [degree_mix_pins(g, cfg, r) for r in range(cfg.runs)]
-    runs = tuple(clamp_lambda1(ground(g, pins)) for pins in pin_sets)
-    return SelectionResult(strategy="degree_mix", l=cfg.l, q=cfg.q, seed=cfg.seed,
-                           pin_set=pin_sets[0], lambda1=float(np.mean(runs)), lambda1_runs=runs)
+    The run-0 set is the one reported; runs differ only in how degree ties are broken."""
+    groundings = [ground(g, degree_mix_pins(g, cfg, r)) for r in range(cfg.runs)]
+    return _result("degree_mix", cfg.q, cfg.seed, [(run, run.lambda1) for run in groundings])
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
@@ -201,7 +197,8 @@ def select_betweenness(g: Graph, l: int) -> SelectionResult:
     for _ in range(l):
         top = bc[left].max()
         left[np.flatnonzero(left & (bc >= top - TIE_TOL * max(1.0, top)))[0]] = False
-    return _result("betweenness", ground(g, np.flatnonzero(~left)))
+    grounded = ground(g, np.flatnonzero(~left))
+    return _result("betweenness", None, None, [(grounded, grounded.lambda1)])
 
 
 def _partition_sweep(g: Graph, nbrs: list[list[int]], active: set[int], rng) -> set[int]:
@@ -258,7 +255,8 @@ def dominating_partition(g: Graph, seed: int = 0) -> SelectionResult:
             for v in slate:
                 active.difference_update(nbrs[v])
         if len(pins) < g.n:
-            return _result("dominating_partition", ground(g, pins), seed=seed)
+            grounded = ground(g, pins)
+            return _result("dominating_partition", None, seed, [(grounded, grounded.lambda1)])
     raise ValueError("every draw pinned all nodes; graph has no dominated partition")
 
 
@@ -348,7 +346,7 @@ def brute_force_max_lambda1(
         dtype=np.min_scalar_type(g.n - 1), count=count * l,
     ).reshape(count, l)
     win, lam = _pruned_argmax(g, combos, pin_set_ceilings(g, combos), np.ones(g.n))
-    return _result("brute_force", ground(g, combos[win]), lam)
+    return _result("brute_force", None, None, [(ground(g, combos[win]), lam)])
 
 
 def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
@@ -388,4 +386,4 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         vals.append(val)
         free = np.delete(free, win)
     # round l solved the grounding of exactly this set
-    return _result("greedy", ground(g, picks[:l]), vals[l - 1])
+    return _result("greedy", None, None, [(ground(g, picks[:l]), vals[l - 1])])

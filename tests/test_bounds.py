@@ -79,6 +79,8 @@ def test_upper_single_pin_tight_on_star_and_complete():
     assert abs(lambda1(ground(g, [3]).matrix) - 1.0) < TOL
     with pytest.raises(ValueError):
         upper_single_pin(g, 7)
+    with pytest.raises(ValueError, match="need at least two nodes"):
+        upper_single_pin(build_graph(1, []), 0)
 
 
 def test_pin_set_ceilings_take_the_two_closed_form_bounds():

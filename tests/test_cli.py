@@ -78,6 +78,12 @@ def test_gen_usage_errors():
     res = run_cli("gen", "--family", "nw", "--n", "10", "--p", "0.1")
     assert res.returncode == 1
     assert "--K" in res.stderr
+    res = run_cli("gen", "--family", "erdos_renyi", "--n", "0", "--p", "0.5")
+    assert res.returncode == 1
+    assert "need n >= 1" in res.stderr
+    res = run_cli("gen", "--family", "ba", "--n", "10", "--m0", "3", "--m", "2", "--seed", "x")
+    assert res.returncode == 1
+    assert "argument --seed: invalid int value" in res.stderr
 
 
 # (flag, value) per generator parameter, in parameter order; --seed is optional
@@ -161,6 +167,14 @@ def test_analyze_usage_and_data_errors(tmp_path, double_star_file):
     res = run_cli("analyze", str(bad), "--pins", "0")
     assert res.returncode == 2
     assert "line 2" in res.stderr
+    res = run_cli("analyze", str(double_star_file), "--pins", "1,a")
+    assert res.returncode == 1
+    assert "--pins must be comma-separated integers" in res.stderr
+    pins = tmp_path / "pins.txt"
+    pins.write_text("1 a\n")
+    res = run_cli("analyze", str(double_star_file), "--pins-file", str(pins))
+    assert res.returncode == 2
+    assert "pin ids must be integers" in res.stderr
 
 
 # -------------------------------------------------------------------- select
@@ -345,6 +359,13 @@ def test_sweep_usage_errors(double_star_file):
     assert res.returncode == 1
     assert res.stdout == ""
     assert "error: sweep degree_mix: --q is required" in res.stderr
+    res = run_cli("sweep", str(double_star_file), "--strategy", "greedy", "--l-range", "1:2:3:4")
+    assert res.returncode == 1
+    assert "must be A:B[:STEP], got '1:2:3:4'" in res.stderr
+    res = run_cli("sweep", str(double_star_file), "--strategy", "degree_mix",
+                  "--l-range", "1:5", "--q", "0,x")
+    assert res.returncode == 1
+    assert "must be comma-separated floats, got '0,x'" in res.stderr
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -417,6 +438,14 @@ def test_simulate_usage_errors(tmp_path):
                    "--controller", "linear", "--c", "1.0").returncode == 1
     assert run_cli("simulate", str(graph), "--pins", "0", "--dynamics", "chua",
                    "--controller", "linear", "--c", "-1.0").returncode == 1
+    res = run_cli("simulate", str(graph), "--pins", "0", "--dynamics", "chua",
+                  "--controller", "linear", "--c", "abc")
+    assert res.returncode == 1
+    assert "argument --c: invalid float value: 'abc'" in res.stderr
+    res = run_cli("simulate", str(graph), "--pins", "0", "--dynamics", "chua",
+                  "--controller", "linear", "--c", "1.0", "--record-every", "0")
+    assert res.returncode == 1
+    assert "record_every must be >= 1" in res.stderr
 
 
 def test_simulate_sets_every_sim_config_field(tmp_path, monkeypatch):

@@ -30,6 +30,13 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(1, 1)])
     with pytest.raises(ValueError, match="at least one node"):
         build_graph(0, [])
+    # an edge of fewer than two ids, named in input order
+    with pytest.raises(ValueError, match=r"edge \(2,\) needs two node ids"):
+        build_graph(3, [(0, 1), (2,)])
+    with pytest.raises(ValueError, match=r"edge \(0,\) needs two node ids"):
+        build_graph(3, [(0,)])
+    with pytest.raises(ValueError, match=r"edge \[1\] needs two node ids"):
+        build_graph(3, [[0, 1], [1]])
 
 
 def test_neighbors_and_adjacency_agree():

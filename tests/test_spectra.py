@@ -125,6 +125,8 @@ def test_complete_grounded_spectrum_validation():
         complete_grounded_spectrum(4, 0)
     with pytest.raises(ValueError):
         complete_grounded_spectrum(4, 4)
+    with pytest.raises(ValueError, match="complete graph needs n >= 2"):
+        complete_grounded_spectrum(1, 1)
 
 
 def test_grounded_lambda1_positive_iff_every_component_touches_pins():

@@ -572,6 +572,24 @@ def test_lazy_ritz_gives_few_rows_a_ritz_ceiling(monkeypatch):
     assert len(rows) <= 300
 
 
+def test_min_degree_ceiling_keeps_a_clique_with_pendants_off_the_ritz_tier(monkeypatch):
+    # K20 with pendant nodes 20, 21, 22 on nodes 0, 1, 2: the min uncontrolled
+    # degree is the lower first-tier ceiling on 99,807 of the C(23, 6) = 100,947
+    # sets, and with it about 700 sets get a Ritz ceiling; with the cut term
+    # alone, all but the first do
+    g = build_graph(23, [*itertools.combinations(range(20), 2), (0, 20), (1, 21), (2, 22)])
+    rows = [0]
+    ritz = pinopt.strategies.ritz_ceilings
+
+    def counted(g, pins, *args, **kwargs):
+        rows[0] += len(pins)
+        return ritz(g, pins, *args, **kwargs)
+
+    monkeypatch.setattr(pinopt.strategies, "ritz_ceilings", counted)
+    assert brute_force_max_lambda1(g, 6).pin_set == (3, 4, 5, 20, 21, 22)
+    assert rows[0] <= 1000
+
+
 def test_ritz_ceilings_prune_most_rows(monkeypatch):
     # rows solved per search: the closed-form ceilings alone leave 260 of the
     # C(62, 2) = 1891 dolphin pairs and 132 greedy candidates to solve

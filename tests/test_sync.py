@@ -136,6 +136,8 @@ def test_sim_config_validation():
         SimConfig(controller="linear", c=1.0, dt=-1.0)
     with pytest.raises(ValueError, match="dt must not exceed t_end"):
         SimConfig(controller="linear", c=1.0, dt=2.0, t_end=1.0)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        SimConfig(controller="linear", c=1.0, record_every=0)
     for name in ("c", "h", "d", "dt", "t_end"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
