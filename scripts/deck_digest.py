@@ -105,8 +105,8 @@ OFFDECK = [
     "sweep {ba60} --strategy betweenness --l-range 1:12",
     "sweep {ba300} --strategy betweenness --l-range 1:40:3",
     "sweep {split} --strategy betweenness --l-range 1:8",
-    # greedy where an isolated node makes the closed-form ceiling 0 in the
-    # first round, far below the all-ones start's quotient
+    # greedy where an isolated node holds every set's lambda1 at 0 in the
+    # first rounds, far below its first-tier ceiling, the start's quotient
     "sweep {split} --strategy greedy --l-range 1:8",
     "select {edgeless} --strategy greedy --l 2",
     "sweep {ba60} --strategy greedy --l-range 1:5",
@@ -163,6 +163,8 @@ OFFDECK = [
     "analyze {star15} --pins 0",
     # a degree-mix selection averaged over several tie-breaking runs
     "select {ba300} --strategy degree_mix --l 30 --q 0.5 --runs 5 --seed 3",
+    # greedy over many rounds, each from the last winner's bottom vector
+    "select {ba300} --strategy greedy --l 40",
 ]
 
 

@@ -7,8 +7,9 @@ Each case runs in a fresh subprocess with one BLAS thread, with pinopt
 imported from DIR (default: this checkout's src/). A search case is a
 graph, a search (brute force or greedy) and l. Per case it prints the
 wall time of the search, the peak RSS of the process, the rows given
-a Ritz ceiling at each Krylov depth, the rows solved, and the winning
-set with the repr of its lambda1. The counts come from wrapping
+a Ritz ceiling at each Krylov depth, the rows solved and the stacked
+eigensolve calls that solve them, and the winning set with the repr
+of its lambda1. The counts come from wrapping
 ``strategies.ritz_ceilings`` and ``Graph.grounded_lambda1s``, so the
 script also runs against older checkouts.
 
@@ -30,20 +31,28 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# K20 with pendant nodes 20, 21, 22 on nodes 0, 1, 2
+K20_PENDANTS = "build_graph(23, [*combinations(range(20), 2), (0, 20), (1, 21), (2, 22)])"
 # name -> (graph expression over pinopt.generators, build_graph, combinations
 # and pinopt, strategy, l, brute-force budget or None)
 CASES = {
     "ring_lattice_200_l2": ("gen_nw(200, 4, 0.0, 0)", "brute_force", 2, None),
+    "dolphins_l3": ("pinopt.load_dolphins()", "brute_force", 3, None),
     "dolphins_l4": ("pinopt.load_dolphins()", "brute_force", 4, None),
     "complete_30_l3": ("gen_complete(30)", "brute_force", 3, None),
     "ba_400_l3": ("gen_ba(400, 3, 3, 0)", "brute_force", 3, 11_000_000),
-    # K20 with pendant nodes 20, 21, 22 on nodes 0, 1, 2: the one case where the
-    # min-degree ceiling binds, on 99,807 of the 100,947 sets
-    "complete_20_pendants_l6": ("build_graph(23, [*combinations(range(20), 2), (0, 20), (1, 21), (2, 22)])",
-                                "brute_force", 6, None),
-    # greedy on large sparse graphs, where the dense Laplacian product is weakest
+    # the one case where the min-degree ceiling binds, on 99,807 of the 100,947 sets
+    "complete_20_pendants_l6": (K20_PENDANTS, "brute_force", 6, None),
+    # greedy takes no min-degree ceiling: pendant nodes, and isolated nodes,
+    # which tie every set of a round at lambda1 0
+    "complete_20_pendants_greedy_l6": (K20_PENDANTS, "greedy", 6, None),
+    "er_200_greedy_l6": ("gen_erdos_renyi(200, 0.01, 3)", "greedy", 6, None),
+    "ring_lattice_200_greedy_l4": ("gen_nw(200, 4, 0.0, 0)", "greedy", 4, None),
+    # greedy on large sparse graphs, where the dense Laplacian product is
+    # weakest, and over many rounds
     "nw_1000_greedy_l3": ("gen_nw(1000, 4, 0.01, 0)", "greedy", 3, None),
     "ba_1000_greedy_l3": ("gen_ba(1000, 3, 3, 0)", "greedy", 3, None),
+    "ba_400_greedy_l40": ("gen_ba(400, 3, 3, 0)", "greedy", 40, None),
 }
 # strategy -> its search in pinopt.strategies
 SEARCHES = {"brute_force": "brute_force_max_lambda1", "greedy": "greedy_max_lambda1"}
@@ -101,12 +110,12 @@ def run_case(name: str) -> dict:
     import pinopt.strategies as strategies
     from itertools import combinations  # noqa: F401 (used by eval)
 
-    from pinopt.generators import gen_ba, gen_complete, gen_nw  # noqa: F401 (used by eval)
+    from pinopt.generators import gen_ba, gen_complete, gen_erdos_renyi, gen_nw  # noqa: F401 (used by eval)
     from pinopt.graphs import Graph, build_graph  # noqa: F401 (build_graph used by eval)
 
     expr, strategy, l, budget = CASES[name]
     g = eval(expr)
-    ritz_rows, solved = Counter(), [0]
+    ritz_rows, solved, calls = Counter(), [0], [0]
     ritz, solve = strategies.ritz_ceilings, Graph.grounded_lambda1s
 
     def counted_ritz(g, pins, *args, **kwargs):
@@ -115,6 +124,7 @@ def run_case(name: str) -> dict:
 
     def counted_solve(g, pins):
         solved[0] += len(pins)
+        calls[0] += 1
         return solve(g, pins)
 
     strategies.ritz_ceilings = counted_ritz
@@ -130,6 +140,7 @@ def run_case(name: str) -> dict:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "ritz_rows_by_depth": {str(d): c for d, c in sorted(ritz_rows.items())},
         "rows_solved": solved[0],
+        "solve_calls": calls[0],
         "pin_set": list(res.pin_set),
         "lambda1": repr(res.lambda1),
     }
@@ -165,7 +176,8 @@ def main(argv=None) -> int:
                   flush=True)
             continue
         print(f"{name}: {rec['wall_s']:.3f} s, peak RSS {rec['peak_rss_mb']:.1f} MB, "
-              f"Ritz rows by depth {rec['ritz_rows_by_depth']}, {rec['rows_solved']} rows solved, "
+              f"Ritz rows by depth {rec['ritz_rows_by_depth']}, {rec['rows_solved']} rows solved "
+              f"in {rec['solve_calls']} stacked eigensolves, "
               f"winner {tuple(rec['pin_set'])} lambda1 {rec['lambda1']}", flush=True)
     return 0
 

@@ -13,7 +13,7 @@ eigensolve and are reported together for cross-checking.
 
 Two forms serve the pin-set searches as ceilings, so that a candidate
 whose ceiling is below the best lambda1 found need not be solved. The
-first tier of every candidate is ``pin_set_ceilings``: the two
+first tier of brute force is ``pin_set_ceilings``: the two
 closed-form upper bounds that depend on the pin set, the min
 uncontrolled degree and the mean boundary weight, for many pin sets of
 one size at once. The mean boundary weight is cut(S), the number of
@@ -41,6 +41,10 @@ Brute force starts from all ones, as does greedy's first round; each
 later round starts from the last winner's bottom eigenvector, from one
 step of inverse iteration (``bottom_vector``), whose quotient with
 entry v zeroed bounds the set that adds v (``after_pin_ceilings``).
+That quotient alone is greedy's first tier in every round, from all
+ones the mean boundary weight: the min-degree term changed no greedy
+Ritz row measured, pendant and isolated nodes included. Brute force
+keeps it, which a clique with pendant nodes needs.
 
 A pin set's numbers come from a run, a grounding and the eigensolve given
 for it: the exact closed forms (``_closed_forms``) and that solve clamped
@@ -62,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground
+from .graphs import Graph, GroundedLaplacian, block_rows, check_l, connected_components, ground, pin_set
 from .spectra import bottom_eigvecs, check_finite, eigvals, solve
 
 __all__ = [
@@ -283,12 +287,12 @@ def upper_single_pin(g: Graph, i: int) -> float:
     """Upper bound deg(i)/(n-1) on lambda1 when only node i is pinned.
 
     Always <= 1, so single-node pinning cannot reach criterion
-    thresholds above 1 on simple graphs.
+    thresholds above 1 on simple graphs. i is checked as a pin set of one
+    (``graphs.pin_set``).
     """
-    if not (0 <= i < g.n):
-        raise ValueError(f"node {i} out of range for n={g.n}")
     if g.n < 2:
         raise ValueError("need at least two nodes")
+    (i,) = pin_set(g, [i])
     return float(g.degrees[i]) / (g.n - 1)
 
 

@@ -45,6 +45,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -155,9 +156,11 @@ def build_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
     Node ids must lie in 0..n-1, self loops are rejected, duplicate
-    edges (in either orientation) collapse to one. The first bad edge in
-    input order is the one reported. `edges` is best an (m, 2) integer
-    array; anything else is converted first (see :func:`_edge_rows`).
+    edges (in either orientation) collapse to one. Each edge is exactly
+    two exact integers; nothing is rounded, parsed or dropped. The first
+    bad edge in input order is the one reported. `edges` is best an
+    (m, 2) integer array; anything else is read edge by edge (see
+    :func:`_edge_rows`).
     """
     if n < 1:
         raise ValueError(f"graph needs at least one node, got n={n}")
@@ -184,24 +187,35 @@ def _check_edge(n: int, u: int, v: int) -> None:
 
 
 def _edge_rows(n: int, edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """`edges` as an (m, 2) int64 array of (e[0], e[1]) per edge.
+    """`edges` as an (m, 2) int64 array, one row per edge.
 
-    Input that numpy holds as integer rows is converted in one step.
-    Anything else (ids beyond int64, ragged rows, floats, strings,
-    iterators) is read edge by edge as ``int(e[0]), int(e[1])`` and
-    checked on the way, so its first bad edge raises in input order.
+    Input that numpy holds as an integer array of two columns, within
+    int64, is converted in one step. Anything else (ids beyond int64,
+    ragged rows, floats, strings, iterators) is read edge by edge, each
+    as exactly two ids by ``operator.index``, and checked on the way, so
+    its first bad edge raises in input order.
     """
     try:
         arr = np.asarray(edges)
     except (ValueError, TypeError, OverflowError):
         arr = None
-    if arr is not None and arr.ndim == 2 and arr.shape[1] >= 2 and np.can_cast(arr.dtype, np.int64):
-        return arr[:, :2].astype(np.int64, copy=False)
+    if (arr is not None and arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu"
+            and np.can_cast(arr.dtype, np.int64)):
+        return arr.astype(np.int64, copy=False)
     pairs = []
     for e in edges:
-        if len(e) < 2:
-            raise ValueError(f"edge {e!r} needs two node ids")
-        u, v = int(e[0]), int(e[1])
+        try:
+            ids = tuple(e)
+        except TypeError:
+            ids = ()
+        # an iterator edge is named by the ids it gave
+        name = e if hasattr(e, "__len__") else ids
+        if len(ids) != 2:
+            raise ValueError(f"edge {name!r} needs two node ids")
+        try:
+            u, v = operator.index(ids[0]), operator.index(ids[1])
+        except TypeError:
+            raise ValueError(f"edge {name!r} needs integer node ids") from None
         _check_edge(n, u, v)
         pairs.append((u, v))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -240,10 +254,11 @@ def laplacian(g: Graph) -> np.ndarray:
 def pin_set(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     """Normalize a collection of pinned (controlled) nodes.
 
-    Returns the sorted tuple of distinct node ids; its size must pass
-    :func:`check_l`, so that the grounded matrix is nonempty.
+    Returns the sorted tuple of distinct node ids, each an exact integer
+    (``operator.index``); its size must pass :func:`check_l`, so that the
+    grounded matrix is nonempty.
     """
-    s = sorted({int(v) for v in nodes})
+    s = sorted({_exact_int(v, "pin") for v in nodes})
     check_l(g, len(s))
     if s[0] < 0 or s[-1] >= g.n:
         raise ValueError(f"pin set {s} out of range for n={g.n}")
@@ -255,10 +270,20 @@ class BudgetError(RuntimeError):
     or a simulation its step cap."""
 
 
+def _exact_int(value, what: str) -> int:
+    """`value` as an exact integer (``operator.index``: ints and numpy
+    integers, never a float or a string); a ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_l(g: Graph, l: int, budget: int | None = None) -> None:
     """The checks a selection of l pins makes before it starts: ValueError
-    unless 1 <= l <= n - 1 and, given a brute-force budget, BudgetError if
-    the C(n, l) subsets exceed it."""
+    unless l is an exact integer with 1 <= l <= n - 1 and, given a
+    brute-force budget, BudgetError if the C(n, l) subsets exceed it."""
+    l = _exact_int(l, "l")
     if not (1 <= l <= g.n - 1):
         raise ValueError(f"need 1 <= l <= n-1, got l={l} for n={g.n}")
     if budget is not None and (count := math.comb(g.n, l)) > budget:

@@ -268,12 +268,13 @@ def _pruned_argmax(
 
     The caller gives every row its first-tier ceiling, `ceilings` (k upper
     bounds on lambda1), and the start vector of its Ritz ceilings, `start`
-    (an n-vector). The row of highest ceiling is solved first; best is the
-    largest lambda1 solved so far, and a row is open once it has a Ritz
-    ceiling and is neither solved nor dropped. The search repeats:
+    (an n-vector). Best is the largest lambda1 solved so far, and a row is
+    open once it has a ceiling of its own and is neither solved nor
+    dropped; the row of highest first-tier ceiling opens with ceiling
+    +inf, so it is solved first and alone. The search repeats:
     - If some open row's ceiling reaches the next first-tier ceiling, it
-      solves the highest open rows ahead of that next ceiling in a stacked
-      batch of 1, 2, 4, ... matrices, as many as fit in ``graphs.BLOCK_BYTES``.
+      solves every open row ahead of that next ceiling in one stacked
+      eigensolve, at most as many as fit in ``graphs.BLOCK_BYTES``.
     - Otherwise it walks on down the first-tier ceilings (row order
       within equal ones): at most one Ritz block of rows
       (``bounds.ritz_block_rows``) at the first step and twice as many at
@@ -291,25 +292,23 @@ def _pruned_argmax(
     cap = block_rows(8 * (g.n - l) ** 2)
     # the rows solved so far that were within TIE_TOL of best when solved,
     # and their lambda1; as best only grows, no other row can win
-    solved, vals = order[:1].tolist(), g.grounded_lambda1s(pins[order[:1]]).tolist()
-    best = vals[0]
+    solved, vals, best = [], [], -np.inf
     # the open rows in descending order of ceiling
-    rows, tight = np.empty(0, np.intp), np.empty(0)
-    pos, step, batch = 1, ritz_block_rows(g, l), 1
+    rows, tight = order[:1], np.array([np.inf])
+    pos, step = 1, ritz_block_rows(g, l)
     while True:
         floor = best - TIE_TOL
         live = np.count_nonzero(tight >= floor)
         rows, tight = rows[:live], tight[:live]
         nxt = ceilings[order[pos]] if pos < k else -np.inf
         if live and tight[0] >= nxt:
-            take = min(batch, np.count_nonzero(tight >= nxt))
+            take = min(cap, np.count_nonzero(tight >= nxt))
             got = g.grounded_lambda1s(pins[rows[:take]])
             best = max(best, float(got.max()))
             near = got >= best - TIE_TOL
             solved += rows[:take][near].tolist()
             vals += got[near].tolist()
             rows, tight = rows[take:], tight[take:]
-            batch = min(2 * batch, cap)
         elif nxt >= floor:
             new = order[pos:pos + step]
             new = new[ceilings[new] >= (tight[0] if live else floor)]
@@ -357,12 +356,12 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
     ``brute_force_max_lambda1`` runs (``_pruned_argmax``), over the sets
     picks + [v], one per node v not yet pinned, in ascending order of v.
     Each round gives the search a start vector and, as first-tier
-    ceilings, the lower of ``bounds.pin_set_ceilings`` and the start's
-    ceiling for every set (``bounds.after_pin_ceilings``). The first
-    round starts from all ones, as brute force does; each later round
-    from the bottom eigenvector of the grounding on the picks, from one
-    step of inverse iteration (``bounds.bottom_vector``). A baseline for
-    the exhaustive search: never better, often close.
+    ceilings, its Rayleigh quotient with each set's pins zeroed
+    (``bounds.after_pin_ceilings``, an upper bound by Courant-Fischer).
+    The first round starts from all ones, as brute force does; each later
+    round from the bottom eigenvector of the grounding on the picks, from
+    one step of inverse iteration (``bounds.bottom_vector``). A baseline
+    for the exhaustive search: never better, often close.
 
     A round depends only on the rounds before it, so the set for l is the
     first l picks of the set for any larger l: a graph's picks and round
@@ -377,11 +376,9 @@ def greedy_max_lambda1(g: Graph, l: int) -> SelectionResult:
         rows[:, :k] = picks
         rows[:, k] = free
         # the bottom eigenvector of the last winner, whose lambda1 is vals[-1],
-        # bounds each set picks + [v] and starts its Ritz; in round one, all
-        # ones, whose ceilings are never below the closed forms
+        # bounds each set picks + [v] and starts its Ritz; in round one, all ones
         y = bottom_vector(g, picks, vals[-1]) if k else np.ones(g.n)
-        ceilings = np.minimum(pin_set_ceilings(g, rows), after_pin_ceilings(g, y, free))
-        win, val = _pruned_argmax(g, rows, ceilings, y)
+        win, val = _pruned_argmax(g, rows, after_pin_ceilings(g, y, free), y)
         picks.append(int(free[win]))
         vals.append(val)
         free = np.delete(free, win)

@@ -51,6 +51,8 @@ def test_upper_by_spectrum_is_laplacian_eigenvalue():
         upper_by_spectrum(g, 0)
     with pytest.raises(ValueError):
         upper_by_spectrum(g, g.n)
+    with pytest.raises(ValueError, match=r"^l must be an integer, got 2\.5$"):
+        upper_by_spectrum(g, 2.5)
 
 
 def test_upper_by_min_degree_ignores_pinned_nodes():
@@ -81,6 +83,9 @@ def test_upper_single_pin_tight_on_star_and_complete():
         upper_single_pin(g, 7)
     with pytest.raises(ValueError, match="need at least two nodes"):
         upper_single_pin(build_graph(1, []), 0)
+    # i is an exact integer: 1.5 is not node 1
+    with pytest.raises(ValueError, match=r"^pin must be an integer, got 1\.5$"):
+        upper_single_pin(g, 1.5)
 
 
 def test_pin_set_ceilings_take_the_two_closed_form_bounds():

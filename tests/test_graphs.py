@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import adjacency, edge_pairs, rand_connected, rand_pins
 from pinopt import graphs
+from pinopt.bounds import upper_single_pin
 from pinopt.graphs import (
     EdgeListError,
     boundary_weights,
     build_graph,
+    check_l,
     connected_components,
     format_edge_list,
     ground,
@@ -37,6 +41,20 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(0,)])
     with pytest.raises(ValueError, match=r"edge \[1\] needs two node ids"):
         build_graph(3, [[0, 1], [1]])
+    # ids are exact integers, two to an edge: nothing is rounded, parsed or
+    # dropped, and the edge is named
+    for edges, name in [
+        ([(0, "a")], r"\(0, 'a'\)"), ([(0, None)], r"\(0, None\)"), ([(0, 1.7)], r"\(0, 1\.7\)"),
+        ([("0", "2")], r"\('0', '2'\)"), (np.array([[0.0, 1.0]]), r"array\(\[0\., 1\.\]\)"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^edge {name} needs integer node ids$"):
+            build_graph(3, edges)
+    for edges, name in [([(0, 1, 5)], r"\(0, 1, 5\)"), (np.array([[0, 1, 2]]), r"array\(\[0, 1, 2\]\)")]:
+        with pytest.raises(ValueError, match=rf"^edge {name} needs two node ids$"):
+            build_graph(3, edges)
+    # the first bad edge in input order
+    with pytest.raises(ValueError, match=r"^edge \(0, 9\) out of range for n=3$"):
+        build_graph(3, [(0, 9), (0, "a")])
 
 
 def test_neighbors_and_adjacency_agree():
@@ -88,6 +106,13 @@ def test_pin_set_normalizes_and_validates():
         pin_set(g, [5])
     with pytest.raises(ValueError, match=r"need 1 <= l <= n-1, got l=5 for n=5"):
         pin_set(g, range(5))
+    # pins are exact integers: 1.7 is not node 1
+    assert pin_set(g, [np.int64(3), 1]) == (1, 3)
+    for bad in (1.7, 1.0, "1", None):
+        with pytest.raises(ValueError, match=rf"^pin must be an integer, got {re.escape(repr(bad))}$"):
+            pin_set(g, [bad, 3])
+        with pytest.raises(ValueError, match="pin must be an integer"):
+            ground(g, [bad, 3])
 
 
 def test_ground_matches_row_column_deletion():
@@ -253,3 +278,95 @@ def test_strict_reader_and_line_loop_agree():
     for text in texts:
         strict, loop = _read_both(text)
         assert strict == loop, text
+
+
+# ------------------------------------------------------------ library fuzz
+
+
+def _fuzz_id(rng, hi, clean):
+    """A node id or pin count: if `clean`, a Python or numpy integer in
+    0..hi-1; else also -1 or hi, an integer past int64, an integral or
+    non-integral float, a numeric string or None."""
+    if clean:
+        v = int(rng.integers(hi))
+        return [v, np.int64(v), np.int32(v), np.uint16(v)][int(rng.integers(4))]
+    v = int(rng.integers(-1, hi + 1))
+    return [v, np.int64(v), 2**63 + v, -(2**63) - 2 + v, float(v), v + 0.5, np.float64(v), str(v),
+            None][int(rng.integers(9))]
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
+def _fuzz_items(rng, items):
+    """`items` as a list, a tuple, a numpy array or an iterator, and the
+    items as that container holds them (numpy converts them to one dtype)."""
+    kind = int(rng.integers(4))
+    if kind == 3:
+        try:
+            arr = np.array(items)
+        except (ValueError, OverflowError):  # ragged, or past what numpy holds
+            kind = 0
+        else:
+            return arr, [tuple(row) if arr.ndim == 2 else row for row in arr]
+    return [list, tuple, iter][kind](items), list(items)
+
+
+def _refuses(call):
+    """True where `call` raises ValueError; any other exception fails the test."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+def test_seeded_library_fuzz_takes_exact_integers_and_refuses_the_rest():
+    """build_graph, pin_set, ground, check_l and upper_single_pin on ids of
+    every kind: integers give the graph, pin set or bound they name, and
+    anything else a ValueError, never another exception or another result."""
+    rng = np.random.default_rng(2032)
+    for _ in range(300):
+        # half the draws hold integer ids only, of two to an edge
+        n, clean = int(rng.integers(2, 7)), rng.random() < 0.5
+        edges, views = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            size = 2 if clean else int(rng.choice([1, 2, 2, 3]))
+            ids = [_fuzz_id(rng, n, clean or rng.random() < 0.6) for _ in range(size)]
+            edge, view = _fuzz_items(rng, ids)
+            edges.append(edge)
+            views.append(tuple(view))
+        if all(isinstance(e, (list, tuple, np.ndarray)) for e in edges):
+            # an array of edges holds them as numpy converts them
+            edges, views = _fuzz_items(rng, edges)
+        exact = [tuple(map(int, e)) for e in views if len(e) == 2 and all(map(_is_int, e))]
+        # every edge two integer ids in range, no self loop
+        if len(exact) == len(views) and all(0 <= u < n and 0 <= v < n and u != v for u, v in exact):
+            assert edge_pairs(build_graph(n, edges)) == tuple(sorted({(min(e), max(e)) for e in exact}))
+        else:
+            assert _refuses(lambda: build_graph(n, edges)), views
+
+        g = rand_connected(rng, n, extra=2)
+        ids, view = _fuzz_items(rng, [_fuzz_id(rng, n, clean or rng.random() < 0.8)
+                                      for _ in range(int(rng.integers(0, n + 1)))])
+        want = sorted({int(v) for v in view}) if all(map(_is_int, view)) else None
+        if want is not None and not (1 <= len(want) < n and 0 <= want[0] and want[-1] < n):
+            want = None
+        again = list(view)  # the iterator is spent by pin_set
+        if want is None:
+            assert _refuses(lambda: pin_set(g, ids)), view
+            assert _refuses(lambda: ground(g, again)), view
+        else:
+            assert pin_set(g, ids) == tuple(want)
+            assert np.flatnonzero(~ground(g, again).keep).tolist() == want
+
+        l, i = _fuzz_id(rng, n, clean), _fuzz_id(rng, n, clean)
+        if _is_int(l) and 1 <= l < n:
+            assert check_l(g, l) is None
+        else:
+            assert _refuses(lambda: check_l(g, l)), l
+        if _is_int(i) and 0 <= i < n:
+            assert upper_single_pin(g, i) == g.degrees[int(i)] / (n - 1)
+        else:
+            assert _refuses(lambda: upper_single_pin(g, i)), i

@@ -314,6 +314,12 @@ def test_strategy_config_validation():
         StrategyConfig(l=2, q=0.5, runs=0)
     with pytest.raises(TypeError):  # q has no default
         StrategyConfig(l=2)
+    # l is an exact integer, refused by check_l before any search starts
+    g = gen_double_star(5)
+    for select, l in ((select_betweenness, 2.5), (greedy_max_lambda1, 2.0), (brute_force_max_lambda1, 2.0),
+                      (lambda g, l: select_degree_mix(g, StrategyConfig(l=l, q=0.5)), 2.5)):
+        with pytest.raises(ValueError, match=rf"^l must be an integer, got {l}$"):
+            select(g, l)
 
 
 # ---------------------------------------------------------------- dominating
